@@ -7,6 +7,11 @@ Feed formats:
 
 Records whose id is null (the feed's marker for a scooter in use) are counted
 and dropped; duplicate ids within a batch keep the first occurrence.
+
+A batch is columnar: scooter ids plus float64 lat/lon arrays. Each batch is
+checked as a whole; when a whole-batch check fails, the batch is walked
+record by record with the scalar checks, which report the first bad record
+(its line number and message) exactly as a per-record parser would.
 """
 
 from __future__ import annotations
@@ -15,10 +20,15 @@ import csv
 import io
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, filterfalse
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import MalformedRecord, NonMonotonicTimestamp
 from .geo import Bbox, GeoPoint, is_valid_point
@@ -27,16 +37,64 @@ log = logging.getLogger(__name__)
 
 FORMATS = ("jsonl", "csv")
 
+_JSON_STR = json.encoder.encode_basestring_ascii  # what json.dumps uses for str
+_JSONL_NULL_RECORD = '{"id":null,"lat":0.0,"lon":0.0}'
+_RECORD_FIELDS = itemgetter("id", "lat", "lon")
+
 
 class ScooterObservation(NamedTuple):
     scooter_id: str
     position: GeoPoint
 
 
-@dataclass
+class ObservationView(Sequence):
+    """Read-only per-record view of a SnapshotBatch; items are built on access."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: "SnapshotBatch"):
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch.ids)
+
+    def __getitem__(self, i: int) -> ScooterObservation:
+        b = self._batch
+        return ScooterObservation(b.ids[i], GeoPoint(float(b.lat[i]), float(b.lon[i])))
+
+    def __iter__(self) -> Iterator[ScooterObservation]:
+        b = self._batch
+        for sid, lat, lon in zip(b.ids, b.lat.tolist(), b.lon.tolist()):
+            yield ScooterObservation(sid, GeoPoint(lat, lon))
+
+    def __eq__(self, other):
+        if isinstance(other, (ObservationView, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ObservationView({list(self)!r})"
+
+
+@dataclass(eq=False)
 class SnapshotBatch:
+    """One server update: ids[i] was parked at (lat[i], lon[i]) at ts."""
+
     ts: datetime  # UTC, second resolution
-    observations: list[ScooterObservation]
+    ids: list[str]
+    lat: np.ndarray  # float64, len(ids)
+    lon: np.ndarray  # float64, len(ids)
+
+    @classmethod
+    def from_observations(cls, ts: datetime, observations: Iterable[ScooterObservation]) -> "SnapshotBatch":
+        obs = list(observations)
+        return cls(ts, [o.scooter_id for o in obs], *_scalar_coords(o.position for o in obs))
+
+    @property
+    def observations(self) -> ObservationView:
+        return ObservationView(self)
 
 
 @dataclass
@@ -100,23 +158,89 @@ def _check_coord(lat, lon, line_no: int) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
-def _build_batch(ts: datetime, records: Iterable[tuple], stats: IngestStats) -> SnapshotBatch:
-    seen: set[str] = set()
-    observations: list[ScooterObservation] = []
-    for raw_id, position in records:
-        if _is_null_id(raw_id):
-            stats.dropped_null_id += 1
-            continue
-        sid = str(raw_id)
-        if sid in seen:
-            stats.dropped_duplicate_id += 1
-            log.warning("duplicate scooter id %s in batch %s; keeping first occurrence", sid, ts)
-            continue
-        seen.add(sid)
-        observations.append(ScooterObservation(sid, position))
-        stats.retained += 1
-    stats.batches += 1
-    return SnapshotBatch(ts=ts, observations=observations)
+def _in_range(lat: np.ndarray, lon: np.ndarray) -> bool:
+    """Every point finite and on the globe (NaN fails every comparison)."""
+    return bool(((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)).all())
+
+
+def _scalar_coords(points: Iterable[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    pts = list(points)
+    return np.array([p.lat for p in pts], dtype=np.float64), np.array([p.lon for p in pts], dtype=np.float64)
+
+
+class _BatchBuilder:
+    """Drops null and duplicate ids from one stream's batches and counts them."""
+
+    def __init__(self, stats: IngestStats):
+        self.stats = stats
+        self._known: set = set()  # raw ids seen so far, all str or None
+        self._null: set = set()  # those of them that mark a scooter in use
+        self._warned = False
+
+    def _classify(self, raw_ids: list) -> tuple[set, set] | None:
+        """(distinct raw ids, null markers among them); None when an id is
+        not a str or None, so the batch needs per-record str() conversion."""
+        try:
+            present = set(raw_ids)
+        except TypeError:  # an unhashable id
+            return None
+        for raw in present - self._known:
+            if raw is not None and type(raw) is not str:
+                return None
+            self._known.add(raw)
+            if _is_null_id(raw):
+                self._null.add(raw)
+        return present, present & self._null
+
+    def build(self, ts: datetime, raw_ids: list, lat: np.ndarray, lon: np.ndarray) -> SnapshotBatch:
+        found = self._classify(raw_ids)
+        if found is None:
+            keep = np.array([not _is_null_id(raw) for raw in raw_ids], dtype=bool)
+            ids = [str(raw) for raw, k in zip(raw_ids, keep.tolist()) if k]
+            distinct = len(set(ids))
+        else:
+            present, nulls = found
+            if nulls:
+                keep = ~np.fromiter(map(nulls.__contains__, raw_ids), dtype=bool, count=len(raw_ids))
+                ids = list(filterfalse(nulls.__contains__, raw_ids))
+            else:
+                keep, ids = None, raw_ids
+            distinct = len(present) - len(nulls)
+        self.stats.dropped_null_id += len(raw_ids) - len(ids)
+        if distinct < len(ids):
+            positions = range(len(ids)) if keep is None else np.flatnonzero(keep).tolist()
+            keep, ids = self._drop_duplicates(ts, positions, ids)
+        if keep is not None:
+            lat, lon = lat[keep], lon[keep]
+        self.stats.retained += len(ids)
+        self.stats.batches += 1
+        return SnapshotBatch(ts, ids, lat, lon)
+
+    def _drop_duplicates(self, ts: datetime, positions, ids: list[str]) -> tuple[list[int], list[str]]:
+        seen: set[str] = set()
+        kept_pos: list[int] = []
+        kept_ids: list[str] = []
+        for pos, sid in zip(positions, ids):
+            if sid in seen:
+                self.stats.dropped_duplicate_id += 1
+                self._log_duplicate(sid, ts)
+                continue
+            seen.add(sid)
+            kept_pos.append(pos)
+            kept_ids.append(sid)
+        return kept_pos, kept_ids
+
+    def _log_duplicate(self, sid: str, ts: datetime) -> None:
+        if self._warned:
+            log.debug("duplicate scooter id %s in batch %s; keeping first occurrence", sid, ts)
+            return
+        self._warned = True
+        log.warning(
+            "duplicate scooter id %s in batch %s; keeping first occurrence. Later duplicates in this "
+            "stream log at DEBUG; the manifest's ingest.dropped_duplicate_id holds the total",
+            sid,
+            ts,
+        )
 
 
 def _check_monotonic(prev: datetime | None, ts: datetime) -> None:
@@ -124,7 +248,33 @@ def _check_monotonic(prev: datetime | None, ts: datetime) -> None:
         raise NonMonotonicTimestamp(format_ts(prev), format_ts(ts))
 
 
+def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """(raw ids, lat, lon) of one JSONL batch.
+
+    The whole-batch path takes coordinates only when numpy reads them as a
+    1-D float64 array of the right length that lies on the globe; anything
+    else is decided record by record by _check_coord.
+    """
+    try:
+        raw_ids, lat, lon = zip(*map(_RECORD_FIELDS, scooters)) if scooters else ((), (), ())
+        lat = np.array(lat)
+        lon = np.array(lon)
+    except (KeyError, TypeError, ValueError):  # a missing key, a non-object record, a ragged coordinate
+        pass
+    else:
+        if lat.dtype == np.float64 and lon.dtype == np.float64 and lat.shape == lon.shape == (len(scooters),):
+            if _in_range(lat, lon):
+                return list(raw_ids), lat, lon
+    points = []
+    for rec in scooters:
+        if not isinstance(rec, dict):
+            raise MalformedRecord(line_no, "scooter record must be an object")
+        points.append(_check_coord(rec.get("lat"), rec.get("lon"), line_no))
+    return [rec.get("id") for rec in scooters], *_scalar_coords(points)
+
+
 def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
+    builder = _BatchBuilder(stats)
     prev: datetime | None = None
     for line_no, line in enumerate(fh, 1):
         line = line.strip()
@@ -142,42 +292,64 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         scooters = obj["scooters"]
         if not isinstance(scooters, list):
             raise MalformedRecord(line_no, "'scooters' must be a list")
-        records = []
-        for rec in scooters:
-            if not isinstance(rec, dict):
-                raise MalformedRecord(line_no, "scooter record must be an object")
-            records.append((rec.get("id"), _check_coord(rec.get("lat"), rec.get("lon"), line_no)))
-        yield _build_batch(ts, records, stats)
+        yield builder.build(ts, *_jsonl_columns(scooters, line_no))
+
+
+def _csv_columns(rows: list[list[str]], line_nos: list[int]) -> tuple[list, np.ndarray, np.ndarray]:
+    """(raw ids, lat, lon) of one CSV batch; float() parses each coordinate,
+    as _check_coord does, and _check_coord reports the first bad row."""
+    if not rows:
+        return [], np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
+    _, raw_ids, lat_s, lon_s = zip(*rows)
+    try:
+        lat = np.array(list(map(float, lat_s)), dtype=np.float64)
+        lon = np.array(list(map(float, lon_s)), dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if _in_range(lat, lon):
+            return list(raw_ids), lat, lon
+    points = [_check_coord(row[2], row[3], ln) for row, ln in zip(rows, line_nos)]
+    return list(raw_ids), *_scalar_coords(points)
 
 
 def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
+    builder = _BatchBuilder(stats)
     reader = csv.reader(fh)
     prev: datetime | None = None
     current_ts: datetime | None = None
     current_raw_ts: str | None = None
-    records: list[tuple] = []
+    rows: list[list[str]] = []
+    line_nos: list[int] = []
     line_no = 0
-    for row in reader:
-        line_no += 1
-        if not row:
-            continue
-        if line_no == 1 and row[0].strip().lower() == "ts":
-            continue  # header
-        if len(row) != 4:
-            raise MalformedRecord(line_no, f"expected 4 columns, got {len(row)}")
-        raw_ts, raw_id, lat, lon = row
-        if raw_ts != current_raw_ts:
-            if current_ts is not None:
-                yield _build_batch(current_ts, records, stats)
-            ts = parse_ts(raw_ts, line_no)
-            _check_monotonic(prev, ts)
-            prev = ts
-            current_ts = ts
-            current_raw_ts = raw_ts
-            records = []
-        records.append((raw_id, _check_coord(lat, lon, line_no)))
+    try:
+        for row in reader:
+            line_no += 1
+            if not row:
+                continue
+            if line_no == 1 and row[0].strip().lower() == "ts":
+                continue  # header
+            if len(row) != 4:
+                _csv_columns(rows, line_nos)  # a bad row earlier in the batch is reported first
+                raise MalformedRecord(line_no, f"expected 4 columns, got {len(row)}")
+            raw_ts = row[0]
+            if raw_ts != current_raw_ts:
+                if current_ts is not None:
+                    yield builder.build(current_ts, *_csv_columns(rows, line_nos))
+                ts = parse_ts(raw_ts, line_no)
+                _check_monotonic(prev, ts)
+                prev = ts
+                current_ts = ts
+                current_raw_ts = raw_ts
+                rows = []
+                line_nos = []
+            rows.append(row)
+            line_nos.append(line_no)
+    except csv.Error:  # the reader failed on a row; a bad row before it is reported first
+        _csv_columns(rows, line_nos)
+        raise
     if current_ts is not None:
-        yield _build_batch(current_ts, records, stats)
+        yield builder.build(current_ts, *_csv_columns(rows, line_nos))
 
 
 def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
@@ -210,8 +382,24 @@ def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
     return SnapshotStream(gen(), stats)
 
 
-def write_snapshot_stream(batches: Iterable[SnapshotBatch], sink, format: str = "jsonl") -> int:
-    """Serialize batches back to feed form; returns the number of batches written."""
+def _jsonl_line(batch: SnapshotBatch, null_fill_to: int) -> str:
+    """The batch as json.dumps(..., separators=(",", ":")) would write it."""
+    records = [
+        f'{{"id":{_JSON_STR(sid)},"lat":{lat!r},"lon":{lon!r}}}'
+        for sid, lat, lon in zip(batch.ids, batch.lat.tolist(), batch.lon.tolist())
+    ]
+    records += [_JSONL_NULL_RECORD] * (null_fill_to - len(records))
+    return f'{{"ts":"{format_ts(batch.ts)}","scooters":[{",".join(records)}]}}\n'
+
+
+def write_snapshot_stream(
+    batches: Iterable[SnapshotBatch], sink, format: str = "jsonl", *, null_fill_to: int = 0
+) -> int:
+    """Serialize batches back to feed form; returns the number of batches written.
+
+    null_fill_to pads each batch with null-id records at (0.0, 0.0) up to that
+    many records, as a server does that reports in-use scooters as null.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown feed format {format!r}; expected one of {FORMATS}")
     if isinstance(sink, (str, Path)):
@@ -224,26 +412,17 @@ def write_snapshot_stream(batches: Iterable[SnapshotBatch], sink, format: str = 
     try:
         if format == "jsonl":
             for batch in batches:
-                line = json.dumps(
-                    {
-                        "ts": format_ts(batch.ts),
-                        "scooters": [
-                            {"id": o.scooter_id, "lat": o.position.lat, "lon": o.position.lon}
-                            for o in batch.observations
-                        ],
-                    },
-                    separators=(",", ":"),
-                )
-                fh.write(line)
-                fh.write("\n")
+                fh.write(_jsonl_line(batch, null_fill_to))
                 n += 1
         else:
             writer = csv.writer(fh)
             writer.writerow(["ts", "id", "lat", "lon"])
             for batch in batches:
                 ts = format_ts(batch.ts)
-                for o in batch.observations:
-                    writer.writerow([ts, o.scooter_id, repr(float(o.position.lat)), repr(float(o.position.lon))])
+                lat = map(repr, batch.lat.tolist())
+                lon = map(repr, batch.lon.tolist())
+                writer.writerows([ts, sid, la, lo] for sid, la, lo in zip(batch.ids, lat, lon))
+                writer.writerows([[ts, "", "0.0", "0.0"]] * (null_fill_to - len(batch.ids)))
                 n += 1
     finally:
         if close:
@@ -254,5 +433,6 @@ def write_snapshot_stream(batches: Iterable[SnapshotBatch], sink, format: str = 
 def bounding_box_filter(batches: Iterable[SnapshotBatch], bbox: Bbox) -> Iterator[SnapshotBatch]:
     """Drop observations outside bbox; batch timestamps survive even when emptied."""
     for batch in batches:
-        kept = [o for o in batch.observations if bbox.contains(o.position.lat, o.position.lon)]
-        yield SnapshotBatch(ts=batch.ts, observations=kept)
+        lat, lon = batch.lat, batch.lon
+        inside = (lat >= bbox.min.lat) & (lat <= bbox.max.lat) & (lon >= bbox.min.lon) & (lon <= bbox.max.lon)
+        yield SnapshotBatch(batch.ts, list(compress(batch.ids, inside.tolist())), lat[inside], lon[inside])

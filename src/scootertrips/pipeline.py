@@ -129,7 +129,7 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
             manifest.stages["simulate"] = {
                 "truth_trips": len(truth),
                 "batches": len(batches),
-                "observations": sum(len(b.observations) for b in batches),
+                "observations": sum(len(b.ids) for b in batches),
             }
 
         # --- ingest + extract ----------------------------------------------------

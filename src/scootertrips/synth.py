@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
-from .ingest import ScooterObservation, SnapshotBatch, write_snapshot_stream
+from .ingest import SnapshotBatch, write_snapshot_stream
 from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, RawTrip
 
 log = logging.getLogger(__name__)
@@ -257,40 +257,19 @@ def generate(config: ScenarioConfig) -> tuple[list[TruthTrip], list[SnapshotBatc
                     lon_m[si, j] = round(p.lon, 6)
 
     utc = timezone.utc
+    id_arr = np.array(ids, dtype=object)
     batches: list[SnapshotBatch] = []
     for j in range(n_ticks):
-        rows = np.nonzero(present[:, j])[0]
-        col_lat = lat_m[:, j]
-        col_lon = lon_m[:, j]
-        observations = [
-            ScooterObservation(ids[i], GeoPoint(float(col_lat[i]), float(col_lon[i]))) for i in rows
-        ]
-        batches.append(SnapshotBatch(ts=datetime.fromtimestamp(int(ticks[j]), tz=utc), observations=observations))
+        rows = np.flatnonzero(present[:, j])
+        ts = datetime.fromtimestamp(int(ticks[j]), tz=utc)
+        batches.append(SnapshotBatch(ts, id_arr[rows].tolist(), lat_m[rows, j], lon_m[rows, j]))
     return truth, batches
 
 
 def write_feed(batches: Sequence[SnapshotBatch], path, *, null_fill_to: int | None = None) -> int:
     """Write the feed as JSONL; null_fill_to pads each batch with null-id records
     up to the fleet size, mirroring a server that reports in-use scooters as null."""
-    if null_fill_to is None:
-        return write_snapshot_stream(batches, path, format="jsonl")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        n = 0
-        for batch in batches:
-            scooters = [
-                {"id": o.scooter_id, "lat": o.position.lat, "lon": o.position.lon} for o in batch.observations
-            ]
-            for _ in range(max(0, null_fill_to - len(scooters))):
-                scooters.append({"id": None, "lat": 0.0, "lon": 0.0})
-            fh.write(
-                json.dumps(
-                    {"ts": batch.ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"), "scooters": scooters},
-                    separators=(",", ":"),
-                )
-            )
-            fh.write("\n")
-            n += 1
-    return n
+    return write_snapshot_stream(batches, path, format="jsonl", null_fill_to=null_fill_to or 0)
 
 
 def save_truth(truth: Sequence[TruthTrip], path, *, cadence_s: int, timezone_name: str) -> None:

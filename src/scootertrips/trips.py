@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, time, timezone
 from typing import Iterable
@@ -146,32 +147,34 @@ def extract_trips(
     day whose positions differ by more than the colocation epsilon yields one
     trip: origin at the earlier (last-seen) batch, destination at the later.
     """
-    code_of: dict[str, int] = {}
-    id_list: list[str] = []
-    codes: list[int] = []
-    ts: list[int] = []
-    lats: list[float] = []
-    lons: list[float] = []
+    code_of: dict[str, int] = {}  # scooter id -> code, in order of first sighting
+    batch_ts: list[int] = []
+    sizes: list[int] = []
+    # growable buffers rather than a list of per-batch arrays: those would leave
+    # their freed blocks scattered in the C heap, where later stages cannot reuse them
+    codes, lats, lons = array("q"), array("d"), array("d")
     for batch in batches:
-        t = int(batch.ts.timestamp())
-        for obs in batch.observations:
-            code = code_of.get(obs.scooter_id)
-            if code is None:
-                code = len(id_list)
-                code_of[obs.scooter_id] = code
-                id_list.append(obs.scooter_id)
-            codes.append(code)
-            ts.append(t)
-            lats.append(obs.position.lat)
-            lons.append(obs.position.lon)
-    n = len(codes)
-    if n < 2:
+        ids = batch.ids
+        try:
+            batch_codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=len(ids))
+        except KeyError:  # the batch sights new ids
+            for sid in ids:
+                code_of.setdefault(sid, len(code_of))
+            batch_codes = np.fromiter(map(code_of.__getitem__, ids), dtype=np.int64, count=len(ids))
+        batch_ts.append(int(batch.ts.timestamp()))
+        sizes.append(len(ids))
+        codes.frombytes(batch_codes.tobytes())
+        lats.frombytes(batch.lat.tobytes())
+        lons.frombytes(batch.lon.tobytes())
+    if len(codes) < 2:
         return []
-    codes_a = np.asarray(codes, dtype=np.int64)
-    ts_a = np.asarray(ts, dtype=np.int64)
-    lat_a = np.asarray(lats, dtype=np.float64)
-    lon_a = np.asarray(lons, dtype=np.float64)
-    days_a, _ = local_fields(ts_a, timezone_name)
+    codes_a = np.frombuffer(codes, dtype=np.int64)
+    lat_a = np.frombuffer(lats, dtype=np.float64)
+    lon_a = np.frombuffer(lons, dtype=np.float64)
+    batch_ts_a = np.asarray(batch_ts, dtype=np.int64)
+    batch_days, _ = local_fields(batch_ts_a, timezone_name)
+    ts_a = np.repeat(batch_ts_a, sizes)
+    days_a = np.repeat(batch_days, sizes)
 
     order = np.argsort(codes_a, kind="stable")  # batch order already sorts ts within a scooter
     codes_s = codes_a[order]
@@ -179,9 +182,11 @@ def extract_trips(
     lat_s = np.ascontiguousarray(lat_a[order])
     lon_s = np.ascontiguousarray(lon_a[order])
     days_s = days_a[order]
+    del order, codes_a, ts_a, lat_a, lon_a, days_a, codes, lats, lons  # the scan needs only the sorted copies
 
     pair_idx, pair_dist = kernels.pair_scan(codes_s, days_s, lat_s, lon_s, colocation_eps_m)
 
+    id_list = list(code_of)
     utc = timezone.utc
     trips = [
         RawTrip(

@@ -19,7 +19,7 @@ CITY = GeoPoint(33.77, -84.39)
 
 
 def batch(offset_s: int, observations, base: datetime = BASE_TS) -> SnapshotBatch:
-    return SnapshotBatch(ts=base + timedelta(seconds=offset_s), observations=list(observations))
+    return SnapshotBatch.from_observations(base + timedelta(seconds=offset_s), observations)
 
 
 def obs(scooter_id: str, point: GeoPoint) -> ScooterObservation:

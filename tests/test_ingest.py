@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from scootertrips.errors import InvalidBbox, MalformedRecord, NonMonotonicTimestamp
 from scootertrips.geo import Bbox, GeoPoint
 from scootertrips.ingest import (
+    SnapshotBatch,
     bounding_box_filter,
     parse_snapshot_stream,
     write_snapshot_stream,
 )
+from scootertrips.trips import extract_trips
 
 from conftest import batch, obs
 
@@ -225,3 +228,200 @@ def test_csv_round_trip_lossless(tmp_path):
     write_snapshot_stream(batches, path, format="csv")
     back = list(parse_snapshot_stream(path, format="csv"))
     assert [b.observations for b in back] == [b.observations for b in batches]
+
+
+T0, T1, T2 = "2019-02-02T11:50:00Z", "2019-02-02T12:00:00Z", "2019-02-02T12:10:00Z"
+
+
+def _jsonl(*lines) -> str:
+    return "".join(json.dumps({"ts": ts, "scooters": recs}) + "\n" for ts, recs in lines)
+
+
+def _rec(sid, lat, lon) -> dict:
+    return {"id": sid, "lat": lat, "lon": lon}
+
+
+# Each malformed feed with the outcome the per-record parser gave before
+# batches became columnar: (exception, line_no, message, batches yielded first).
+# The whole-batch checks must hand every one of them to the scalar checks.
+MALFORMED = {
+    "jsonl": {
+        "non_object_record": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3), 5])),
+            (MalformedRecord, 1, "scooter record must be an object", 0),
+        ),
+        "bad_coord_before_non_object": (
+            _jsonl((T1, [_rec("a", None, -84.3), "x"])),
+            (MalformedRecord, 1, "non-numeric coordinates (None, -84.3)", 0),
+        ),
+        "null_lat": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3), _rec("b", None, -84.3)])),
+            (MalformedRecord, 1, "non-numeric coordinates (None, -84.3)", 0),
+        ),
+        "missing_lon": (
+            _jsonl((T1, [{"id": "a", "lat": 33.7}])),
+            (MalformedRecord, 1, "non-numeric coordinates (33.7, None)", 0),
+        ),
+        "string_lat": (
+            _jsonl((T1, [_rec("a", "north", -84.3)])),
+            (MalformedRecord, 1, "non-numeric coordinates ('north', -84.3)", 0),
+        ),
+        "nan_lat": (
+            '{"ts":"%s","scooters":[{"id":"a","lat":NaN,"lon":-84.3}]}\n' % T1,
+            (MalformedRecord, 1, "coordinates out of range (nan, -84.3)", 0),
+        ),
+        "inf_lon": (
+            '{"ts":"%s","scooters":[{"id":"a","lat":33.7,"lon":-Infinity}]}\n' % T1,
+            (MalformedRecord, 1, "coordinates out of range (33.7, -inf)", 0),
+        ),
+        "lat_out_of_range": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3), _rec("b", 91.0, -84.3)])),
+            (MalformedRecord, 1, "coordinates out of range (91.0, -84.3)", 0),
+        ),
+        "lon_out_of_range": (
+            _jsonl((T1, [_rec("a", 33.7, 180.5)])),
+            (MalformedRecord, 1, "coordinates out of range (33.7, 180.5)", 0),
+        ),
+        "list_lat": (
+            _jsonl((T1, [_rec("a", [33.7], -84.3)])),
+            (MalformedRecord, 1, "non-numeric coordinates ([33.7], -84.3)", 0),
+        ),
+        "nested_list_lat": (  # numpy would read [[1.0]] as a 2-D array without error
+            _jsonl((T1, [_rec("a", [[1.0]], -84.3)])),
+            (MalformedRecord, 1, "non-numeric coordinates ([[1.0]], -84.3)", 0),
+        ),
+        "ragged_list_lat": (
+            _jsonl((T1, [_rec("a", [1.0], -84.3), _rec("b", 2.0, -84.3)])),
+            (MalformedRecord, 1, "non-numeric coordinates ([1.0], -84.3)", 0),
+        ),
+        "bad_row_then_non_monotonic": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T2, [_rec("a", 95.0, -84.3)]), (T0, [])),
+            (MalformedRecord, 2, "coordinates out of range (95.0, -84.3)", 1),
+        ),
+        "non_monotonic_before_bad_row": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T0, [_rec("a", 99.0, -84.3)])),
+            (NonMonotonicTimestamp, None, None, 1),
+        ),
+    },
+    "csv": {
+        "non_numeric": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T1},b,north,-84.3\n",
+            (MalformedRecord, 3, "non-numeric coordinates ('north', '-84.3')", 0),
+        ),
+        "empty_lat": (
+            f"ts,id,lat,lon\n{T1},a,,-84.3\n",
+            (MalformedRecord, 2, "non-numeric coordinates ('', '-84.3')", 0),
+        ),
+        "nan_lat": (
+            f"ts,id,lat,lon\n{T1},a,nan,-84.3\n",
+            (MalformedRecord, 2, "coordinates out of range (nan, -84.3)", 0),
+        ),
+        "out_of_range": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-184.3\n",
+            (MalformedRecord, 2, "coordinates out of range (33.7, -184.3)", 0),
+        ),
+        "wrong_columns": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T1},b,33.7\n",
+            (MalformedRecord, 3, "expected 4 columns, got 3", 0),
+        ),
+        "wrong_columns_after_bad_row": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T1},b,north,-84.3\n{T1},c,33.7\n",
+            (MalformedRecord, 3, "non-numeric coordinates ('north', '-84.3')", 0),
+        ),
+        "wrong_columns_opening_next_batch": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T2},b\n",
+            (MalformedRecord, 3, "expected 4 columns, got 2", 0),
+        ),
+        "bad_row_then_non_monotonic": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T1},b,91,-84.3\n{T0},a,33.7,-84.3\n",
+            (MalformedRecord, 3, "coordinates out of range (91.0, -84.3)", 0),
+        ),
+        "bad_row_after_blank_line": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n\n{T1},b,91,-84.3\n",
+            (MalformedRecord, 4, "coordinates out of range (91.0, -84.3)", 0),
+        ),
+        "bad_ts_after_bad_row": (
+            f"ts,id,lat,lon\n{T1},a,33.7,x\nlater,a,33.7,-84.3\n",
+            (MalformedRecord, 2, "non-numeric coordinates (33.7, 'x')", 0),
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "format,text,expected",
+    [pytest.param(fmt, text, want, id=f"{fmt}-{name}") for fmt, cases in MALFORMED.items() for name, (text, want) in cases.items()],
+)
+def test_malformed_feed_reports_first_bad_record(format, text, expected):
+    exc_type, line_no, reason, yielded = expected
+    got = []
+    with pytest.raises(exc_type) as err:
+        for b in parse_snapshot_stream(io.StringIO(text), format=format):
+            got.append(b)
+    assert len(got) == yielded
+    if exc_type is MalformedRecord:
+        assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+def test_records_the_batch_check_declines_still_parse():
+    # strings and ints are not float64 columns, but float() accepts them;
+    # a record without an id is an in-use scooter
+    text = _jsonl((T1, [_rec("a", "33.7", -84.3), _rec("b", 33, "-84"), {"lat": 33.7, "lon": -84.3}]))
+    batches, stats = parse_all(text)
+    assert list(batches[0].observations) == [obs("a", GeoPoint(33.7, -84.3)), obs("b", GeoPoint(33.0, -84.0))]
+    assert (stats.retained, stats.dropped_null_id) == (2, 1)
+
+
+def test_non_string_ids_are_stringified_before_dedup():
+    text = _jsonl((T1, [_rec(7, 33.7, -84.3), _rec("7", 33.8, -84.3), _rec(["x"], 33.7, -84.3)]))
+    batches, stats = parse_all(text)
+    assert batches[0].ids == ["7", "['x']"]
+    assert stats.dropped_duplicate_id == 1
+
+
+def test_duplicate_warning_once_per_stream(caplog):
+    text = _jsonl(
+        *[(f"2019-02-02T12:{m:02d}:00Z", [_rec("a", 33.7, -84.3), _rec("a", 33.8, -84.3)]) for m in (0, 10, 20)]
+    )
+    with caplog.at_level(logging.DEBUG, logger="scootertrips.ingest"):
+        _, stats = parse_all(text)
+    assert stats.dropped_duplicate_id == 3
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "duplicate scooter id a" in warnings[0].getMessage()
+    assert "ingest.dropped_duplicate_id" in warnings[0].getMessage()
+    assert sum(r.levelno == logging.DEBUG for r in caplog.records) == 2
+
+
+def test_observations_view_is_lazy_and_read_only():
+    b = batch(0, [obs("a", GeoPoint(33.77, -84.39)), obs("b", GeoPoint(33.78, -84.38))])
+    view = b.observations
+    assert len(view) == 2 and view[-1] == obs("b", GeoPoint(33.78, -84.38))
+    assert view == list(view) and view != [] and view == b.observations
+    with pytest.raises(TypeError):
+        view[0] = obs("c", GeoPoint(33.7, -84.3))
+
+
+_POINTS = [GeoPoint(33.77, -84.39), GeoPoint(33.775, -84.385), GeoPoint(33.78, -84.38), GeoPoint(33.7712, -84.3901)]
+
+feed_batches = st.lists(
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.sampled_from(_POINTS)), min_size=1, max_size=6),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(data=feed_batches, pad=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_jsonl_and_csv_feeds_agree(data, pad):
+    # duplicates are written as given, so both parsers must drop the same ones;
+    # every batch has a record, since a CSV feed cannot carry an empty batch
+    batches = [batch(i * 600, [obs(sid, p) for sid, p in rows]) for i, rows in enumerate(data)]
+    jsonl, csv_text = io.StringIO(), io.StringIO()
+    write_snapshot_stream(batches, jsonl, "jsonl", null_fill_to=pad)
+    write_snapshot_stream(batches, csv_text, "csv", null_fill_to=pad)
+    from_jsonl = parse_snapshot_stream(io.StringIO(jsonl.getvalue()), "jsonl")
+    from_csv = parse_snapshot_stream(io.StringIO(csv_text.getvalue()), "csv")
+    assert extract_trips(from_jsonl) == extract_trips(from_csv)
+    assert from_jsonl.stats == from_csv.stats
+    assert from_jsonl.stats.input_records == sum(max(len(rows), pad) for rows in data)

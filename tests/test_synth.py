@@ -133,7 +133,7 @@ class TestScore:
             ts = datetime.fromtimestamp(batch_ts, tz=UTC)
             inside = any(t.start_epoch_s < batch_ts < t.end_epoch_s for t in truth)
             pos = a if batch_ts <= truth[0].start_epoch_s else (b if batch_ts <= truth[1].start_epoch_s else c)
-            feed.append(SnapshotBatch(ts, [] if inside else [ScooterObservation("S00000", pos)]))
+            feed.append(SnapshotBatch.from_observations(ts, [] if inside else [ScooterObservation("S00000", pos)]))
         extracted = extract_trips(feed)
         assert len(extracted) == 1  # merged hop a -> c
         report = score(truth, extracted, 600)

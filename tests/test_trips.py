@@ -1,6 +1,8 @@
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scootertrips.errors import InvalidConfig
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
@@ -188,3 +190,24 @@ def test_trips_csv_round_trip(tmp_path):
     path = tmp_path / "trips.csv"
     write_trips_csv(trips, path)
     assert read_trips_csv(path) == trips
+
+
+_SPOTS = [CITY, B500, offset_azimuthal(CITY, 0.0, 800.0), offset_azimuthal(CITY, 0.0, 0.5)]
+
+
+@given(
+    feed=st.lists(
+        st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e", "f"]), st.sampled_from(_SPOTS), max_size=6),
+        min_size=2,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_record_order_within_batch_does_not_matter(feed, data):
+    batches = [batch(i * 600, [obs(sid, p) for sid, p in rows.items()]) for i, rows in enumerate(feed)]
+    shuffled = [
+        batch(i * 600, data.draw(st.permutations([obs(sid, p) for sid, p in rows.items()])))
+        for i, rows in enumerate(feed)
+    ]
+    assert extract_trips(shuffled) == extract_trips(batches)
