@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DanglingPoiReference, EmptyCatalog
-from .geo import GeoPoint, SpatialIndex, build_spatial_index, to_cartesian_array
-from .kernels import haversine_arrays_numpy
+from .geo import GeoPoint, SpatialIndex, build_spatial_index, nearest_k_batch
 from .poi import Poi
 from .ingest import format_ts, parse_ts
 from .trips import TRIP_CSV_COLUMNS, RawTrip, Trip
@@ -56,21 +55,6 @@ def catalog_index(catalog: Sequence[Poi]) -> SpatialIndex:
     return build_spatial_index((p.id, p.position) for p in catalog)
 
 
-def _ranked_candidates(index: SpatialIndex, lats, lons, k: int):
-    """Per-endpoint candidate lists ordered by (great-circle meters, id)."""
-    n = len(index)
-    kk = min(n, k)
-    xyz = to_cartesian_array(lats, lons)
-    _, idx = index.tree.query(xyz, k=kk)
-    idx = idx.reshape(len(lats), kk)
-    cand_lat = index.lats[idx]
-    cand_lon = index.lons[idx]
-    q_lat = np.repeat(np.asarray(lats, dtype=np.float64), kk)
-    q_lon = np.repeat(np.asarray(lons, dtype=np.float64), kk)
-    dist = haversine_arrays_numpy(q_lat, q_lon, cand_lat.ravel(), cand_lon.ravel()).reshape(len(lats), kk)
-    return idx, dist
-
-
 def associate(trips: Sequence[Trip], index: SpatialIndex) -> list[AssociatedTrip]:
     """Attach the nearest POI (id + distance) to each trip endpoint.
 
@@ -83,37 +67,26 @@ def associate(trips: Sequence[Trip], index: SpatialIndex) -> list[AssociatedTrip
         raise EmptyCatalog("cannot associate trips against an empty catalog")
     if not trips:
         return []
-    o_idx, o_dist = _ranked_candidates(index, [t.origin.lat for t in trips], [t.origin.lon for t in trips], k=8)
-    d_idx, d_dist = _ranked_candidates(
-        index, [t.destination.lat for t in trips], [t.destination.lon for t in trips], k=8
-    )
-    out: list[AssociatedTrip] = []
-    unresolved = 0
-    for i, trip in enumerate(trips):
-        o_order = sorted(range(o_idx.shape[1]), key=lambda j: (o_dist[i, j], index.ids[o_idx[i, j]]))
-        d_order = sorted(range(d_idx.shape[1]), key=lambda j: (d_dist[i, j], index.ids[d_idx[i, j]]))
-        oj, dj = o_order[0], d_order[0]
-        o_poi = index.ids[o_idx[i, oj]]
-        d_poi = index.ids[d_idx[i, dj]]
-        reassigned = False
-        if o_poi == d_poi and n > 1:
-            oj = o_order[1]
-            o_poi = index.ids[o_idx[i, oj]]
-            reassigned = True
-        elif o_poi == d_poi:
-            unresolved += 1
-        out.append(
-            AssociatedTrip(
-                trip=trip,
-                origin_poi=o_poi,
-                origin_dist_m=float(o_dist[i, oj]),
-                dest_poi=d_poi,
-                dest_dist_m=float(d_dist[i, dj]),
-                origin_reassigned=reassigned,
-            )
+    o_rows, o_dist = nearest_k_batch(index, [t.origin.lat for t in trips], [t.origin.lon for t in trips], k=2)
+    d_rows, d_dist = nearest_k_batch(index, [t.destination.lat for t in trips], [t.destination.lon for t in trips], k=1)
+    reassigned = o_rows[:, 0] == d_rows[:, 0] if n > 1 else np.zeros(len(trips), dtype=bool)
+    pick = np.arange(len(trips)), reassigned.astype(np.intp)
+    o_poi, o_m = o_rows[pick].tolist(), o_dist[pick].tolist()
+    d_poi, d_m = d_rows[:, 0].tolist(), d_dist[:, 0].tolist()
+    ids = index.ids
+    out = [
+        AssociatedTrip(
+            trip=trip,
+            origin_poi=ids[o_poi[i]],
+            origin_dist_m=o_m[i],
+            dest_poi=ids[d_poi[i]],
+            dest_dist_m=d_m[i],
+            origin_reassigned=r,
         )
-    if unresolved:
-        log.warning("%d trips could not be reassigned away from a shared POI (single-POI catalog)", unresolved)
+        for i, (trip, r) in enumerate(zip(trips, reassigned.tolist()))
+    ]
+    if n == 1:
+        log.warning("%d trips could not be reassigned away from a shared POI (single-POI catalog)", len(trips))
     return out
 
 

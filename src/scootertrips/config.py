@@ -82,7 +82,6 @@ class PipelineConfig:
     timezone: str = DEFAULT_TIMEZONE
     query_budget: int = 10_000
     drilldowns: list[str] = field(default_factory=lambda: ["Business:Business"])
-    ingest_bbox: bool = False  # crop observations at ingest instead of trips post-clean
 
     def __post_init__(self):
         if self.cutoff_m < 0:
@@ -97,12 +96,6 @@ class PipelineConfig:
         for d in self.drilldowns:
             if ":" not in d:
                 raise InvalidConfig(f"drilldown must be 'OriginGroup:DestGroup', got {d!r}")
-
-    def resolve_path(self, value: str | None, base: Path) -> Path | None:
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base / p)
 
 
 def load_config(path) -> tuple[PipelineConfig, dict]:
@@ -141,7 +134,6 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
         "timezone",
         "query_budget",
         "drilldowns",
-        "ingest_bbox",
     ):
         if key in raw:
             kwargs[key] = raw[key]

@@ -1,8 +1,8 @@
 """Geodesy primitives and the spatial index backing POI buffering and trip association.
 
 All distances assume a spherical Earth of radius 6,371,000 m. Nearest-neighbor
-search runs on 3D chord distance (order-equivalent to great-circle distance)
-and reports great-circle meters.
+search takes candidates by 3D chord distance (order-equivalent to great-circle
+distance), then scores and orders them by great-circle meters and id.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyIndex, InvalidBbox
+from .kernels import haversine_arrays
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -22,12 +23,6 @@ EARTH_RADIUS_M = 6_371_000.0
 class GeoPoint(NamedTuple):
     lat: float
     lon: float
-
-
-class CartesianPoint(NamedTuple):
-    x: float
-    y: float
-    z: float
 
 
 def is_valid_point(lat: float, lon: float) -> bool:
@@ -62,18 +57,6 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     dlon = math.radians(b.lon) - math.radians(a.lon)
     h = math.sin(dlat / 2.0) ** 2 + math.cos(rlat1) * math.cos(rlat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(min(1.0, max(0.0, h))))
-
-
-def to_cartesian(p: GeoPoint) -> CartesianPoint:
-    """Spherical-to-ECEF mapping on the reference sphere."""
-    rlat = math.radians(p.lat)
-    rlon = math.radians(p.lon)
-    c = math.cos(rlat)
-    return CartesianPoint(
-        EARTH_RADIUS_M * c * math.cos(rlon),
-        EARTH_RADIUS_M * c * math.sin(rlon),
-        EARTH_RADIUS_M * math.sin(rlat),
-    )
 
 
 def to_cartesian_array(lats, lons) -> np.ndarray:
@@ -186,6 +169,9 @@ class SpatialIndex:
         self.lons = np.asarray(lons, dtype=np.float64)
         self.xyz = to_cartesian_array(self.lats, self.lons)
         self.tree = cKDTree(self.xyz) if len(ids) else None
+        # rank[i] is the place of ids[i] in sorted id order: the tie-break key
+        self.rank = np.empty(len(self.ids), dtype=np.int64)
+        self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -199,32 +185,41 @@ def build_spatial_index(points: Iterable[tuple[str, GeoPoint]]) -> SpatialIndex:
     return SpatialIndex(ids, lats, lons)
 
 
-def _candidate_rows(index: SpatialIndex, xyz: np.ndarray, k: int) -> np.ndarray:
-    """Chord-space candidate indices guaranteed to contain the true top-k, ties included."""
-    n = len(index)
-    kk = min(n, k + 8)
-    while True:
-        d, idx = index.tree.query(xyz, k=kk)
-        d = np.atleast_1d(d)
-        idx = np.atleast_1d(idx)
-        if kk >= n or d[kk - 1] > d[k - 1] + 1e-9:
-            return idx
-        kk = min(n, kk * 2)
+def nearest_k_batch(index: SpatialIndex, lats, lons, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest indexed points of every query point.
 
-
-def nearest_k(index: SpatialIndex, query: GeoPoint, k: int) -> list[tuple[str, float]]:
-    """The k nearest indexed points, ascending by distance; equal distances break by id."""
+    Returns (rows, meters), both of shape (len(lats), min(k, len(index))):
+    index rows and great-circle meters, each query's row ascending by
+    (meters, id). The k-d tree proposes k + 8 candidates by chord length; a
+    query whose last candidate ties its k-th within 1e-9 m asks again with
+    twice as many, so every point tied at the k-th place gets scored.
+    """
     n = len(index)
     if n == 0:
         raise EmptyIndex("cannot query an empty spatial index")
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, n)
-    xyz = np.asarray(to_cartesian(query), dtype=np.float64)
-    rows = _candidate_rows(index, xyz, k)
-    cands = [
-        (haversine_m(query, GeoPoint(index.lats[i], index.lons[i])), index.ids[i])
-        for i in rows
-    ]
-    cands.sort()
-    return [(pid, dist) for dist, pid in cands[:k]]
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    xyz = to_cartesian_array(lats, lons)
+    m = lats.shape[0]
+    rows = np.empty((m, k), dtype=np.intp)
+    meters = np.empty((m, k), dtype=np.float64)
+    todo = np.arange(m)
+    width = min(n, k + 8)
+    while todo.size:
+        chord, cand = index.tree.query(xyz[todo], k=width)
+        chord = chord.reshape(todo.size, width)
+        cand = cand.reshape(todo.size, width)
+        tied = (chord[:, -1] <= chord[:, k - 1] + 1e-9) if width < n else np.zeros(todo.size, dtype=bool)
+        done, cand = todo[~tied], cand[~tied]
+        q_lat, q_lon = np.repeat(lats[done], width), np.repeat(lons[done], width)
+        dist = haversine_arrays(q_lat, q_lon, index.lats[cand].ravel(), index.lons[cand].ravel())
+        dist = dist.reshape(done.size, width)
+        order = np.lexsort((index.rank[cand], dist), axis=-1)[:, :k]
+        rows[done] = np.take_along_axis(cand, order, axis=-1)
+        meters[done] = np.take_along_axis(dist, order, axis=-1)
+        todo = todo[tied]
+        width = min(n, 2 * width)
+    return rows, meters

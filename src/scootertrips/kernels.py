@@ -1,25 +1,17 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
-The numba path is the default whenever numba imports; set the environment
-variable ``SCOOTERTRIPS_NUMBA=0`` to force the numpy path. Both
-implementations are exported so benchmarks/bench_kernels.py can compare them.
+Callers reach ``pair_scan`` as a module attribute (``kernels.pair_scan``), so a
+profiler can wrap it in place.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
 
-def _numba_requested() -> bool:
-    return os.environ.get("SCOOTERTRIPS_NUMBA", "1").strip().lower() not in ("0", "false", "no")
-
-
-def haversine_arrays_numpy(lat1, lon1, lat2, lon2):
+def haversine_arrays(lat1, lon1, lat2, lon2):
     """Elementwise great-circle distance in meters (vectorized numpy)."""
     lat1 = np.radians(np.asarray(lat1, dtype=np.float64))
     lat2 = np.radians(np.asarray(lat2, dtype=np.float64))
@@ -29,7 +21,7 @@ def haversine_arrays_numpy(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def pair_scan_numpy(codes, days, lats, lons, eps_m):
+def pair_scan(codes, days, lats, lons, eps_m):
     """Find consecutive same-scooter, same-local-day rows whose position moved.
 
     Inputs are observation columns sorted by (scooter code, timestamp).
@@ -41,79 +33,6 @@ def pair_scan_numpy(codes, days, lats, lons, eps_m):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     same = (codes[1:] == codes[:-1]) & (days[1:] == days[:-1])
     cand = np.nonzero(same)[0]
-    d = haversine_arrays_numpy(lats[cand], lons[cand], lats[cand + 1], lons[cand + 1])
+    d = haversine_arrays(lats[cand], lons[cand], lats[cand + 1], lons[cand + 1])
     moved = d > eps_m
     return cand[moved].astype(np.int64), d[moved]
-
-
-_NUMBA_AVAILABLE = False
-haversine_arrays_numba = None
-pair_scan_numba = None
-
-try:  # pragma: no cover - exercised indirectly through the selected aliases
-    from numba import njit
-
-    @njit(cache=True)
-    def _hav_scalar(lat1, lon1, lat2, lon2):
-        rlat1 = math.radians(lat1)
-        rlat2 = math.radians(lat2)
-        dlat = rlat2 - rlat1
-        dlon = math.radians(lon2) - math.radians(lon1)
-        a = math.sin(dlat / 2.0) ** 2 + math.cos(rlat1) * math.cos(rlat2) * math.sin(dlon / 2.0) ** 2
-        if a > 1.0:
-            a = 1.0
-        elif a < 0.0:
-            a = 0.0
-        return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
-
-    @njit(cache=True)
-    def _haversine_arrays_nb(lat1, lon1, lat2, lon2):
-        n = lat1.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = _hav_scalar(lat1[i], lon1[i], lat2[i], lon2[i])
-        return out
-
-    @njit(cache=True)
-    def _pair_scan_nb(codes, days, lats, lons, eps_m):
-        n = codes.shape[0]
-        cap = n - 1 if n > 1 else 0
-        out_idx = np.empty(cap, dtype=np.int64)
-        out_d = np.empty(cap, dtype=np.float64)
-        m = 0
-        for i in range(n - 1):
-            if codes[i] == codes[i + 1] and days[i] == days[i + 1]:
-                d = _hav_scalar(lats[i], lons[i], lats[i + 1], lons[i + 1])
-                if d > eps_m:
-                    out_idx[m] = i
-                    out_d[m] = d
-                    m += 1
-        return out_idx[:m].copy(), out_d[:m].copy()
-
-    def haversine_arrays_numba(lat1, lon1, lat2, lon2):  # noqa: F811 - deliberate rebind
-        return _haversine_arrays_nb(
-            np.ascontiguousarray(lat1, dtype=np.float64),
-            np.ascontiguousarray(lon1, dtype=np.float64),
-            np.ascontiguousarray(lat2, dtype=np.float64),
-            np.ascontiguousarray(lon2, dtype=np.float64),
-        )
-
-    def pair_scan_numba(codes, days, lats, lons, eps_m):  # noqa: F811 - deliberate rebind
-        return _pair_scan_nb(codes, days, lats, lons, eps_m)
-
-    _NUMBA_AVAILABLE = True
-except ImportError:
-    pass
-
-NUMBA_ENABLED = _NUMBA_AVAILABLE and _numba_requested()
-
-if NUMBA_ENABLED:
-    haversine_arrays = haversine_arrays_numba
-    pair_scan = pair_scan_numba
-else:
-    haversine_arrays = haversine_arrays_numpy
-    pair_scan = pair_scan_numpy
-
-
-def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, kernels
+from . import __version__
 from .assoc import apply_threshold, associate, catalog_index, sensitivity, write_associated_csv, write_sensitivity_csv
 from .config import PipelineConfig, config_hash
 from .errors import BudgetExhausted, InvalidConfig, PipelineError
 from .geo import make_grid
-from .ingest import bounding_box_filter, parse_snapshot_stream
+from .ingest import parse_snapshot_stream
 from .poi import (
     FixturePlacesClient,
     QueryBudget,
@@ -84,7 +84,6 @@ class Manifest:
             "package": "scootertrips",
             "package_version": __version__,
             "python_version": platform.python_version(),
-            "kernel_backend": kernels.backend(),
             "config_sha256": self.config_sha256,
             "created_at": datetime.now(timezone.utc).isoformat(),
             "status": self.status,
@@ -135,9 +134,8 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         # --- ingest + extract ----------------------------------------------------
         stage = "ingest"
         stream = parse_snapshot_stream(feed_path, format=cfg.feed_format)
-        batches_iter = bounding_box_filter(stream, cfg.bbox) if cfg.ingest_bbox else stream
         stage = "extract"
-        raw_trips = extract_trips(batches_iter, timezone_name=cfg.timezone)
+        raw_trips = extract_trips(stream, timezone_name=cfg.timezone)
         manifest.stages["ingest"] = stream.stats.to_dict()
         manifest.stages["extract"] = {"raw_trips": len(raw_trips)}
 

@@ -1,8 +1,8 @@
 """Places-style search clients and the grid harvest driver.
 
-Two client implementations share one interface: a live HTTP client and a
-recorded-fixture client. Fixtures map a canonical query string to the recorded
-response JSON, so harvests replay deterministically with no credentials.
+Harvests query a recorded-fixture client. Fixtures map a canonical query string
+to the recorded response JSON, so harvests replay deterministically with no
+credentials.
 """
 
 from __future__ import annotations
@@ -92,34 +92,6 @@ class FixturePlacesClient:
             self.misses += 1
             return {"status": "ZERO_RESULTS", "results": []}
         return hit
-
-
-class LivePlacesClient:
-    """Thin HTTP client for a Places-compatible endpoint. Not used in tests."""
-
-    NEARBY_PATH = "/nearbysearch/json"
-    TEXT_PATH = "/textsearch/json"
-
-    def __init__(self, api_key: str, base_url: str = "https://maps.googleapis.com/maps/api/place", timeout: float = 10.0):
-        import requests
-
-        self.api_key = api_key
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = requests.Session()
-
-    def search(self, kind: str, center: GeoPoint, radius_m: float, term: str) -> dict:
-        params = {"location": f"{center.lat},{center.lon}", "radius": int(radius_m), "key": self.api_key}
-        if kind == "nearby":
-            path = self.NEARBY_PATH
-            params["type"] = term
-        else:
-            path = self.TEXT_PATH
-            params["query"] = term
-        resp = self.session.get(self.base_url + path, params=params, timeout=self.timeout)
-        if resp.status_code != 200:
-            raise ClientError(f"HTTP_{resp.status_code}", retriable=resp.status_code in (429, 500, 502, 503, 504))
-        return resp.json()
 
 
 def _parse_results(payload: dict, query_type: str, source: str) -> list[RawPoi]:

@@ -150,16 +150,6 @@ def drill_down(
     return DrillDown(origin_group=origin_group, dest_group=dest_group, counts=counts)
 
 
-def estimate_cost(trip: Trip) -> float:
-    """Fare in dollars: $1 unlock plus 29 cents per started minute."""
-    seconds = round((trip.end_ts - trip.start_ts).total_seconds())
-    if seconds < 0:
-        raise ValueError("trip ends before it starts")
-    minutes = (int(seconds) + 59) // 60
-    cents = 100 + 29 * minutes
-    return cents / 100.0
-
-
 def write_matrix_csv(matrix: PurposeMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -14,7 +14,7 @@ import numpy as np
 
 from scootertrips.assoc import AssociatedTrip, apply_threshold, sensitivity
 from scootertrips.cli import EXIT_OK, main
-from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, nearest_k
+from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, nearest_k_batch
 from scootertrips.ingest import parse_snapshot_stream
 from scootertrips.poi import MULTIPLE_TYPE, Poi, dedupe_and_merge, generate_buffers, location_key
 from scootertrips.poi.catalog import BufferRing, BufferSpec
@@ -146,14 +146,14 @@ def test_criterion_3_nearest_neighbor_equivalence(capsys):
             q_lats = rng.uniform(33.7484, 33.7892, size=100)
             q_lons = rng.uniform(-84.4056, -84.3597, size=100)
             k = 1 if c % 10 else 5
+            rows, meters = nearest_k_batch(index, q_lats, q_lons, k)
             for j in range(100):
                 q = GeoPoint(float(q_lats[j]), float(q_lons[j]))
-                got = nearest_k(index, q, k)
                 # linear-scan oracle (stable argsort ties agree with id order)
                 dists = np.array([haversine_m(q, GeoPoint(float(lats[i]), float(lons[i]))) for i in range(n)])
                 order = np.argsort(dists, kind="stable")[:k]
-                assert [pid for pid, _ in got] == [ids[i] for i in order]
-                for (_, gd), i in zip(got, order):
+                assert [ids[r] for r in rows[j]] == [ids[i] for i in order]
+                for gd, i in zip(meters[j], order):
                     assert abs(gd - dists[i]) <= 1e-6
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"nearest-neighbor equivalence took {elapsed:.1f}s (budget 30s)"

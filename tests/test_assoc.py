@@ -76,6 +76,20 @@ class TestAssociate:
         assert at.origin_poi == at.dest_poi == "A"
         assert at.origin_reassigned is False
 
+    def test_tie_among_many_colocated_pois_breaks_by_id(self):
+        # 12 POIs at one point 30 m from the origin, inserted with ids descending,
+        # plus one far POI: more tied candidates than the first k-d tree query returns
+        shared = offset_azimuthal(CITY, 0, 30)
+        far = offset_azimuthal(CITY, 90, 900)
+        pois = [poi(f"P{i:02d}", shared) for i in range(12, 0, -1)] + [poi("FAR", far)]
+        index = catalog_index(pois)
+        (at,) = associate([make_trip(origin=CITY, destination=far)], index)
+        assert (at.origin_poi, at.dest_poi, at.origin_reassigned) == ("P01", "FAR", False)
+        assert at.origin_dist_m == pytest.approx(30.0, rel=1e-3)
+        # both endpoints at the tied point: destination keeps P01, origin moves to P02
+        (at,) = associate([make_trip(origin=CITY, destination=offset_azimuthal(shared, 0, 2))], index)
+        assert (at.origin_poi, at.dest_poi, at.origin_reassigned) == ("P02", "P01", True)
+
     def test_empty_catalog(self):
         with pytest.raises(EmptyCatalog):
             associate([make_trip()], build_spatial_index([]))

@@ -13,9 +13,8 @@ from scootertrips.geo import (
     build_spatial_index,
     haversine_m,
     make_grid,
-    nearest_k,
+    nearest_k_batch,
     offset_azimuthal,
-    to_cartesian,
     to_cartesian_array,
 )
 
@@ -54,15 +53,6 @@ class TestHaversine:
 
 
 class TestCartesian:
-    def test_equator_prime_meridian(self):
-        p = to_cartesian(GeoPoint(0, 0))
-        assert p == pytest.approx((EARTH_RADIUS_M, 0.0, 0.0), abs=1e-6)
-
-    def test_pole(self):
-        p = to_cartesian(GeoPoint(90, 123.4))
-        assert p.z == pytest.approx(EARTH_RADIUS_M)
-        assert abs(p.x) < 1e-6 and abs(p.y) < 1e-6
-
     def test_norm_on_sphere(self):
         xyz = to_cartesian_array([33.77, -12.0, 71.3], [-84.39, 44.0, 3.0])
         norms = np.linalg.norm(xyz, axis=1)
@@ -149,16 +139,22 @@ class TestGrid:
                 assert haversine_m(cell.center, corner) <= cell.circumradius_m + 1e-9
 
 
+def nearest_pairs(index, queries, k):
+    """nearest_k_batch over a list of query points, as [(id, meters), ...] per query."""
+    rows, meters = nearest_k_batch(index, [q.lat for q in queries], [q.lon for q in queries], k)
+    return [[(index.ids[r], d) for r, d in zip(rr, mm)] for rr, mm in zip(rows.tolist(), meters.tolist())]
+
+
 class TestNearestK:
     def test_singleton(self, city):
         index = build_spatial_index([("A", city)])
-        result = nearest_k(index, GeoPoint(33.78, -84.40), 1)
+        (result,) = nearest_pairs(index, [GeoPoint(33.78, -84.40)], 1)
         assert result[0][0] == "A"
         assert result[0][1] == pytest.approx(haversine_m(city, GeoPoint(33.78, -84.40)), rel=1e-12)
 
     def test_empty_index(self):
         with pytest.raises(EmptyIndex):
-            nearest_k(build_spatial_index([]), CITY, 1)
+            nearest_pairs(build_spatial_index([]), [CITY], 1)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -167,10 +163,11 @@ class TestNearestK:
             for i in range(1000)
         ]
         index = build_spatial_index(pts)
-        for _ in range(100):
-            q = GeoPoint(float(rng.uniform(33.7484, 33.7892)), float(rng.uniform(-84.4056, -84.3597)))
-            for k in (1, 3, 10):
-                got = nearest_k(index, q, k)
+        queries = [
+            GeoPoint(float(rng.uniform(33.7484, 33.7892)), float(rng.uniform(-84.4056, -84.3597))) for _ in range(100)
+        ]
+        for k in (1, 3, 10):
+            for q, got in zip(queries, nearest_pairs(index, queries, k)):
                 want = brute_force_nearest(pts, q, k)
                 assert [g[0] for g in got] == [w[0] for w in want]
                 for (_, gd), (_, wd) in zip(got, want):
@@ -180,19 +177,39 @@ class TestNearestK:
         # B and C sit at the same point; the lower id must come first
         shared = offset_azimuthal(city, 90.0, 120.0)
         index = build_spatial_index([("C", shared), ("B", shared), ("A", offset_azimuthal(city, 270.0, 400.0))])
-        result = nearest_k(index, city, 3)
+        (result,) = nearest_pairs(index, [city], 3)
         assert [pid for pid, _ in result] == ["B", "C", "A"]
+
+    def test_tied_and_untied_queries_in_one_call(self, city):
+        # 12 points share one spot, more than the first k + 8 candidates; the
+        # query beside them must widen its search, the others must not need to
+        shared = offset_azimuthal(city, 45.0, 60.0)
+        pts = [(f"T{i:02d}", shared) for i in range(12, 0, -1)]
+        pts += [(f"U{i}", offset_azimuthal(city, 30.0 * i, 300.0 + 40.0 * i)) for i in range(12)]
+        index = build_spatial_index(pts)
+        queries = [
+            offset_azimuthal(city, 200.0, 500.0),
+            offset_azimuthal(shared, 0.0, 5.0),
+            offset_azimuthal(city, 100.0, 700.0),
+        ]
+        for k in (1, 3):
+            for q, got in zip(queries, nearest_pairs(index, queries, k)):
+                want = brute_force_nearest(pts, q, k)
+                assert [g[0] for g in got] == [w[0] for w in want]
+                for (_, gd), (_, wd) in zip(got, want):
+                    assert gd == pytest.approx(wd, abs=1e-6)
+        assert [pid for pid, _ in nearest_pairs(index, queries[1:2], 3)[0]] == ["T01", "T02", "T03"]
 
     def test_results_sorted_ascending(self, city):
         pts = [(f"P{i}", offset_azimuthal(city, 40.0 * i, 50.0 + 30.0 * i)) for i in range(8)]
         index = build_spatial_index(pts)
-        result = nearest_k(index, city, 8)
+        (result,) = nearest_pairs(index, [city], 8)
         dists = [d for _, d in result]
         assert dists == sorted(dists)
 
     def test_k_larger_than_index_clamps(self, city):
         index = build_spatial_index([("A", city), ("B", offset_azimuthal(city, 0, 100))])
-        assert len(nearest_k(index, city, 10)) == 2
+        assert len(nearest_pairs(index, [city], 10)[0]) == 2
 
 
 def test_offset_wraps_antimeridian():

@@ -4,16 +4,6 @@ import pytest
 from scootertrips import kernels
 
 
-def _random_rows(n=5000, seed=3):
-    rng = np.random.default_rng(seed)
-    codes = np.sort(rng.integers(0, 40, size=n)).astype(np.int64)
-    days = rng.integers(737000, 737003, size=n).astype(np.int64)
-    order = np.lexsort((days, codes))
-    lats = rng.uniform(33.7484, 33.7892, size=n)
-    lons = rng.uniform(-84.4056, -84.3597, size=n)
-    return codes[order], days[order], lats, lons
-
-
 def test_haversine_numpy_vs_scalar():
     from scootertrips.geo import GeoPoint, haversine_m
 
@@ -22,35 +12,18 @@ def test_haversine_numpy_vs_scalar():
     lon1 = rng.uniform(-84.45, -84.3, 100)
     lat2 = rng.uniform(33.7, 33.8, 100)
     lon2 = rng.uniform(-84.45, -84.3, 100)
-    got = kernels.haversine_arrays_numpy(lat1, lon1, lat2, lon2)
+    got = kernels.haversine_arrays(lat1, lon1, lat2, lon2)
     for i in range(100):
         want = haversine_m(GeoPoint(lat1[i], lon1[i]), GeoPoint(lat2[i], lon2[i]))
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
-@pytest.mark.skipif(not kernels._NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_matches_numpy_haversine():
-    codes, days, lats, lons = _random_rows()
-    nb = kernels.haversine_arrays_numba(lats[:-1], lons[:-1], lats[1:], lons[1:])
-    np_ = kernels.haversine_arrays_numpy(lats[:-1], lons[:-1], lats[1:], lons[1:])
-    assert np.allclose(nb, np_, rtol=1e-12, atol=1e-9)
-
-
-@pytest.mark.skipif(not kernels._NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_matches_numpy_pair_scan():
-    codes, days, lats, lons = _random_rows()
-    idx_nb, d_nb = kernels.pair_scan_numba(codes, days, lats, lons, 1.0)
-    idx_np, d_np = kernels.pair_scan_numpy(codes, days, lats, lons, 1.0)
-    assert np.array_equal(idx_nb, idx_np)
-    assert np.allclose(d_nb, d_np, rtol=1e-12, atol=1e-9)
-
-
 def test_pair_scan_empty_and_single():
     empty = np.empty(0, dtype=np.int64)
-    idx, d = kernels.pair_scan_numpy(empty, empty, np.empty(0), np.empty(0), 1.0)
+    idx, d = kernels.pair_scan(empty, empty, np.empty(0), np.empty(0), 1.0)
     assert idx.size == 0 and d.size == 0
     one = np.zeros(1, dtype=np.int64)
-    idx, d = kernels.pair_scan_numpy(one, one, np.zeros(1), np.zeros(1), 1.0)
+    idx, d = kernels.pair_scan(one, one, np.zeros(1), np.zeros(1), 1.0)
     assert idx.size == 0
 
 
@@ -74,22 +47,3 @@ def test_pair_scan_breaks_at_scooter_and_day_boundaries():
     idx, _ = kernels.pair_scan(codes, days, lats, lons, 1.0)
     # row 0->1 crosses a day, row 1->2 crosses a scooter; only row 2->3 pairs
     assert idx.tolist() == [2]
-
-
-def test_backend_reports_selection():
-    assert kernels.backend() in ("numba", "numpy")
-
-
-def test_env_flag_selects_numpy_fallback():
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "from scootertrips import kernels; print(kernels.backend())"],
-        env={**os.environ, "SCOOTERTRIPS_NUMBA": "0"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"

@@ -131,53 +131,6 @@ class TestClient:
         assert err.value.retriable is True
 
 
-class TestLiveClient:
-    class _StubResponse:
-        def __init__(self, status_code, payload=None):
-            self.status_code = status_code
-            self._payload = payload or {}
-
-        def json(self):
-            return self._payload
-
-    class _StubSession:
-        def __init__(self, response):
-            self.response = response
-            self.calls = []
-
-        def get(self, url, params=None, timeout=None):
-            self.calls.append((url, params))
-            return self.response
-
-    def client_with(self, response):
-        from scootertrips.poi.client import LivePlacesClient
-
-        client = LivePlacesClient(api_key="k", base_url="https://places.example/api")
-        client.session = self._StubSession(response)
-        return client
-
-    def test_nearby_request_shape(self):
-        client = self.client_with(self._StubResponse(200, {"status": "OK", "results": []}))
-        pois, truncated = fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
-        assert pois == [] and truncated is False
-        url, params = client.session.calls[0]
-        assert url.endswith("/nearbysearch/json")
-        assert params["type"] == "restaurant"
-        assert params["location"] == f"{CITY.lat},{CITY.lon}"
-
-    def test_http_429_is_retriable(self):
-        client = self.client_with(self._StubResponse(429))
-        with pytest.raises(ClientError) as err:
-            client.search("text", CITY, 400.0, "condo")
-        assert err.value.retriable is True
-
-    def test_http_403_is_fatal(self):
-        client = self.client_with(self._StubResponse(403))
-        with pytest.raises(ClientError) as err:
-            client.search("nearby", CITY, 400.0, "bar")
-        assert err.value.retriable is False
-
-
 class TestHarvest:
     def test_query_per_cell(self, tmp_path):
         client = fixture_client(tmp_path, {})

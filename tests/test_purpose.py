@@ -13,7 +13,6 @@ from scootertrips.purpose import (
     day_class,
     day_class_predicate,
     drill_down,
-    estimate_cost,
     slot_of_trip,
     slot_predicate,
 )
@@ -185,21 +184,3 @@ class TestDrillDown:
         trips = [assoc("multi1", "biz1")]
         drill = drill_down(trips, CATALOG, "Multiple", "Business")
         assert drill.counts == {("multiple", "lawyer"): 1}
-
-
-class TestEstimateCost:
-    def cost_for(self, seconds):
-        return estimate_cost(make_trip(duration_s=seconds))
-
-    def test_zero_duration_base_fare(self):
-        assert self.cost_for(0) == 1.00
-
-    def test_exact_ten_minutes(self):
-        assert self.cost_for(600) == pytest.approx(3.90)
-
-    def test_ten_minutes_one_second_rounds_up(self):
-        assert self.cost_for(601) == pytest.approx(4.19)
-
-    def test_monotone_in_duration(self):
-        costs = [self.cost_for(s) for s in range(0, 3600, 37)]
-        assert all(a <= b for a, b in zip(costs, costs[1:]))
