@@ -95,7 +95,7 @@ def sensitivity(
     thresholds: Sequence[float],
     endpoint: str,
     catalog: Sequence[Poi],
-    groups: Sequence[str] | None = None,
+    groups: Sequence[str],
 ) -> SensitivityTable:
     """Cumulative trip counts per POI group as the distance threshold grows."""
     if endpoint not in ("origin", "destination"):
@@ -104,8 +104,6 @@ def sensitivity(
     if any(t < 0 for t in thresholds) or sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be ascending and non-negative")
     by_id = {p.id: p for p in catalog}
-    if groups is None:
-        groups = sorted({p.group or "" for p in catalog})
     group_pos = {g: i for i, g in enumerate(groups)}
     counts = np.zeros((len(groups), len(thresholds)), dtype=np.int64)
     th = np.asarray(thresholds, dtype=np.float64)
@@ -115,7 +113,7 @@ def sensitivity(
         poi = by_id.get(pid)
         if poi is None:
             raise DanglingPoiReference(f"associated trip references unknown POI {pid!r}")
-        gi = group_pos[poi.group or ""]
+        gi = group_pos[poi.group]
         ti = int(np.searchsorted(th, dist, side="left"))
         if ti < len(thresholds):
             counts[gi, ti] += 1

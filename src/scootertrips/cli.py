@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -77,12 +76,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", required=True, help="needed to resolve POI groups")
     p.add_argument("--thresholds", default="0:100:5", help="start:stop:step (stop inclusive) or comma list")
     p.add_argument("--endpoint", default="destination", choices=("origin", "destination"))
+    p.add_argument("--taxonomy", help="group taxonomy JSON (defaults packaged); its groups are the table's rows")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="purpose matrices, slices, and drill-downs")
     p.add_argument("--assoc", required=True, help="associated trips CSV (apply any cutoff upstream)")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--by", default="all", choices=("overall", "slot", "daytype", "all"))
+    p.add_argument("--taxonomy", help="group taxonomy JSON (defaults packaged); its groups are the matrix axes")
     p.add_argument("--drill", action="append", default=[], help="OriginGroup:DestGroup (repeatable)")
     p.add_argument("--timezone", help="IANA zone for slotting (defaults to the cleaning default)")
     p.add_argument("--out", required=True, help="output directory")
@@ -159,50 +159,32 @@ def _parse_grid(spec: str) -> tuple[int, int]:
 
 
 def _cmd_harvest(args) -> int:
-    from .config import DEFAULT_REGION, parse_bbox
-    from .geo import make_grid
-    from .poi import (
-        DENSIFY_TEXT_QUERIES,
-        FixturePlacesClient,
-        QueryBudget,
-        default_plan_path,
-        harvest,
-        load_plan,
-        save_raw_pois,
-        select_low_density_cells,
-    )
-    from .poi.client import QueryPlanEntry
+    from .config import DEFAULT_REGION, PipelineConfig, parse_bbox
+    from .pipeline import harvest_pois
+    from .poi import save_raw_pois
 
-    fixtures = os.environ.get("SCOOTER_FIXTURES_DIR") or args.fixtures
-    if not fixtures:
-        raise UsageError("--fixtures (or SCOOTER_FIXTURES_DIR) is required")
-    client = FixturePlacesClient(fixtures)
+    def save(harvested) -> None:
+        save_raw_pois(harvested.pois, args.out)
+        if args.report:
+            _write_json({"harvests": [r.to_dict() for r in harvested.reports]}, args.report)
+
     rows, cols = _parse_grid(args.grid)
-    bbox = parse_bbox(args.bbox) if args.bbox else DEFAULT_REGION
-    grid = make_grid(bbox, rows, cols)
-    plan = load_plan(args.plan or default_plan_path())
-    budget = QueryBudget(args.budget)
+    cfg = PipelineConfig(
+        fixtures_dir=args.fixtures,
+        bbox=parse_bbox(args.bbox) if args.bbox else DEFAULT_REGION,
+        harvest_rows=rows,
+        harvest_cols=cols,
+        densify=args.densify,
+        plan=args.plan,
+        query_budget=args.budget,
+    )
     try:
-        result = harvest(client, grid, plan, budget)
-        pois = result.pois
-        reports = [result.report.to_dict()]
-        if args.densify:
-            grid15 = make_grid(bbox, 15, 15)
-            cells = select_low_density_cells(grid15, pois)
-            densify_plan = [QueryPlanEntry(kind="text", term=q) for q in DENSIFY_TEXT_QUERIES]
-            dres = harvest(client, grid15, densify_plan, budget, cells=cells)
-            pois = pois + dres.pois
-            reports.append(dres.report.to_dict())
+        harvested = harvest_pois(cfg)
     except BudgetExhausted as exc:
-        if exc.partial is not None:
-            save_raw_pois(exc.partial.pois, args.out)
-            if args.report:
-                _write_json({"harvests": [exc.partial.report.to_dict()]}, args.report)
+        save(exc.partial)
         raise
-    save_raw_pois(pois, args.out)
-    if args.report:
-        _write_json({"harvests": reports}, args.report)
-    log.info("harvested %d raw POIs with %d queries", len(pois), budget.used)
+    save(harvested)
+    log.info("harvested %d raw POIs with %d queries", len(harvested.pois), harvested.stats["budget_used"])
     return EXIT_OK
 
 
@@ -249,53 +231,21 @@ def _cmd_sensitivity(args) -> int:
     associated = read_associated_csv(args.assoc)
     catalog = load_catalog(args.catalog)
     thresholds = parse_thresholds(args.thresholds)
-    table = sensitivity(associated, thresholds, args.endpoint, catalog)
+    groups = list(load_taxonomy(args.taxonomy).groups)
+    table = sensitivity(associated, thresholds, args.endpoint, catalog, groups)
     write_sensitivity_csv(table, args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     from .assoc import read_associated_csv
-    from .poi import load_catalog
-    from .purpose import (
-        TimeSlot,
-        build_matrix,
-        day_class_predicate,
-        drill_down,
-        slot_predicate,
-        write_drilldown_csv,
-        write_matrix_csv,
-        write_matrix_long_csv,
-    )
+    from .pipeline import write_report
+    from .poi import load_catalog, load_taxonomy
     from .trips import DEFAULT_TIMEZONE
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    associated = read_associated_csv(args.assoc)
-    catalog = load_catalog(args.catalog)
-    tz = args.timezone or DEFAULT_TIMEZONE
-    groups = sorted({p.group for p in catalog if p.group is not None})
-    matrices = []
-    if args.by in ("overall", "all"):
-        m = build_matrix(associated, catalog, groups=groups)
-        matrices.append(m)
-        write_matrix_csv(m, out_dir / "matrix_overall.csv")
-    if args.by in ("slot", "all"):
-        for slot in TimeSlot:
-            m = build_matrix(associated, catalog, slice=slot_predicate(slot, tz), slice_key=slot.label, groups=groups)
-            matrices.append(m)
-            write_matrix_csv(m, out_dir / f"matrix_slot_{slot.label}.csv")
-    if args.by in ("daytype", "all"):
-        for cls in ("weekday", "weekend"):
-            m = build_matrix(associated, catalog, slice=day_class_predicate(cls, tz), slice_key=cls, groups=groups)
-            matrices.append(m)
-            write_matrix_csv(m, out_dir / f"matrix_{cls}.csv")
-    write_matrix_long_csv(matrices, out_dir / "matrices_long.csv")
-    for spec in args.drill:
-        og, dg = spec.split(":", 1)
-        drill = drill_down(associated, catalog, og, dg)
-        safe = f"{og}_{dg}".replace("/", "-").replace(" ", "_")
-        write_drilldown_csv(drill, out_dir / f"drill_{safe}.csv")
+    groups = list(load_taxonomy(args.taxonomy).groups)
+    within = read_associated_csv(args.assoc)
+    write_report(within, load_catalog(args.catalog), groups, args.timezone or DEFAULT_TIMEZONE, args.drill, args.out)
     return EXIT_OK
 
 

@@ -139,12 +139,14 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
             kwargs[key] = raw[key]
     if "bbox" in raw and raw["bbox"] is not None:
         kwargs["bbox"] = parse_bbox(raw["bbox"])
-    if "cleaning" in raw:
-        cleaning = dict(raw["cleaning"])
-        cleaning.setdefault("timezone", raw.get("timezone", DEFAULT_TIMEZONE))
-        kwargs["cleaning"] = CleaningRules.from_dict(cleaning)
-    elif "timezone" in raw:
-        kwargs["cleaning"] = CleaningRules(timezone=raw["timezone"])
+    tz = raw.get("timezone", DEFAULT_TIMEZONE)
+    cleaning = dict(raw.get("cleaning", {}))
+    if cleaning.get("timezone", tz) != tz:
+        raise InvalidConfig(
+            f"cleaning.timezone {cleaning['timezone']!r} differs from timezone {tz!r}; one zone drives "
+            "the day cut, the hours filter and the report slots"
+        )
+    kwargs["cleaning"] = CleaningRules.from_dict({**cleaning, "timezone": tz})
     if "thresholds" in raw:
         kwargs["thresholds"] = parse_thresholds(raw["thresholds"])
     try:

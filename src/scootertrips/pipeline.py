@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .assoc import apply_threshold, associate, catalog_index, sensitivity, write_associated_csv, write_sensitivity_csv
 from .config import PipelineConfig, config_hash
-from .errors import BudgetExhausted, InvalidConfig, PipelineError
+from .errors import BudgetExhausted, ClientError, InvalidConfig, PipelineError
 from .geo import make_grid
 from .ingest import parse_snapshot_stream
 from .poi import (
@@ -99,6 +99,90 @@ def _write_manifest(manifest: Manifest, out_dir: Path) -> None:
         fh.write("\n")
 
 
+@dataclass
+class PoiHarvest:
+    pois: list
+    reports: list = field(default_factory=list)  # one HarvestReport per pass
+    stats: dict = field(default_factory=dict)  # the manifest's harvest stage
+
+
+def harvest_pois(cfg: PipelineConfig) -> PoiHarvest:
+    """Harvest raw POIs over the cfg grid and, with cfg.densify, run text
+    queries over the lowest-density cells of the densify grid; both passes
+    share one query budget. On budget exhaustion or a fatal client error the
+    exception's .partial is a PoiHarvest holding every pass run so far."""
+    fixtures_dir = os.environ.get("SCOOTER_FIXTURES_DIR") or cfg.fixtures_dir
+    if not fixtures_dir:
+        raise InvalidConfig("no fixture directory: set paths.fixtures_dir (harvest: --fixtures) or SCOOTER_FIXTURES_DIR")
+    client = FixturePlacesClient(fixtures_dir)
+    plan = load_plan(cfg.plan or default_plan_path())
+    budget = QueryBudget(cfg.query_budget)
+    out = PoiHarvest(pois=[])
+
+    def run_pass(grid, entries, cells=None):
+        try:
+            result = harvest(client, grid, entries, budget, cells=cells)
+        except (BudgetExhausted, ClientError) as exc:
+            out.pois += exc.partial.pois
+            out.reports.append(exc.partial.report)
+            exc.partial = out
+            raise
+        out.pois += result.pois
+        out.reports.append(result.report)
+        return result
+
+    base = run_pass(make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan)
+    out.stats = {
+        "grid": [cfg.harvest_rows, cfg.harvest_cols],
+        "queries": len(base.report.queries),
+        "truncated_queries": base.report.truncated_queries,
+        "raw_pois": len(base.pois),
+    }
+    if cfg.densify:
+        grid = make_grid(cfg.bbox, cfg.densify_rows, cfg.densify_cols)
+        cells = select_low_density_cells(grid, out.pois, cfg.densify_fraction)
+        densify_plan = [QueryPlanEntry(kind="text", term=q) for q in DENSIFY_TEXT_QUERIES]
+        dense = run_pass(grid, densify_plan, cells)
+        out.stats["densify"] = {
+            "grid": [cfg.densify_rows, cfg.densify_cols],
+            "cells_requeried": len(cells),
+            "queries": len(dense.report.queries),
+            "raw_pois": len(dense.pois),
+        }
+    out.stats["budget_used"] = budget.used
+    return out
+
+
+def write_report(within, catalog, groups, tz: str, drilldowns, out_dir) -> tuple[list[Path], dict]:
+    """Write the overall, per-slot and weekday/weekend purpose matrices over
+    the groups axis, their long form, and one drill-down per
+    'OriginGroup:DestGroup' spec into out_dir; returns the written paths and
+    the manifest's report stage."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    slices = [(None, None, "matrix_overall.csv")]
+    slices += [(slot_predicate(slot, tz), slot.label, f"matrix_slot_{slot.label}.csv") for slot in TimeSlot]
+    slices += [(day_class_predicate(cls, tz), cls, f"matrix_{cls}.csv") for cls in ("weekday", "weekend")]
+    paths, matrices = [], []
+    for predicate, key, name in slices:
+        m = build_matrix(within, catalog, groups, slice=predicate, slice_key=key)
+        matrices.append(m)
+        paths.append(out_dir / name)
+        write_matrix_csv(m, paths[-1])
+    paths.append(out_dir / "matrices_long.csv")
+    write_matrix_long_csv(matrices, paths[-1])
+    drill_cells = {}
+    for spec in drilldowns:
+        og, dg = spec.split(":", 1)
+        drill = drill_down(within, catalog, og, dg)
+        safe = f"{og}_{dg}".replace("/", "-").replace(" ", "_")
+        paths.append(out_dir / f"drill_{safe}.csv")
+        write_drilldown_csv(drill, paths[-1])
+        drill_cells[spec] = drill.total
+    stats = {"matrix_total": matrices[0].total, "slots": [s.label for s in TimeSlot], "drilldowns": drill_cells}
+    return paths, stats
+
+
 def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
     """Execute every stage; on failure the manifest records the stage and any
     partial artifacts stay on disk with status FAILED."""
@@ -158,38 +242,12 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
 
         # --- harvest ---------------------------------------------------------------
         stage = "harvest"
-        fixtures_dir = os.environ.get("SCOOTER_FIXTURES_DIR") or cfg.fixtures_dir
-        if not fixtures_dir:
-            raise InvalidConfig("config needs paths.fixtures_dir (or SCOOTER_FIXTURES_DIR)")
-        client = FixturePlacesClient(fixtures_dir)
-        plan = load_plan(cfg.plan or default_plan_path())
-        budget = QueryBudget(cfg.query_budget)
-        grid = make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols)
-        result = harvest(client, grid, plan, budget)
-        raw_pois = result.pois
-        harvest_stats = {
-            "grid": [cfg.harvest_rows, cfg.harvest_cols],
-            "queries": len(result.report.queries),
-            "truncated_queries": result.report.truncated_queries,
-            "raw_pois": len(result.pois),
-        }
-        if cfg.densify:
-            grid15 = make_grid(cfg.bbox, cfg.densify_rows, cfg.densify_cols)
-            low_cells = select_low_density_cells(grid15, raw_pois, cfg.densify_fraction)
-            densify_plan = [QueryPlanEntry(kind="text", term=q) for q in DENSIFY_TEXT_QUERIES]
-            densify_result = harvest(client, grid15, densify_plan, budget, cells=low_cells)
-            raw_pois = raw_pois + densify_result.pois
-            harvest_stats["densify"] = {
-                "grid": [cfg.densify_rows, cfg.densify_cols],
-                "cells_requeried": len(low_cells),
-                "queries": len(densify_result.report.queries),
-                "raw_pois": len(densify_result.pois),
-            }
-        harvest_stats["budget_used"] = budget.used
+        harvested = harvest_pois(cfg)
+        raw_pois = harvested.pois
         pois_path = out_dir / "pois_raw.json"
         save_raw_pois(raw_pois, pois_path)
         artifact(pois_path)
-        manifest.stages["harvest"] = harvest_stats
+        manifest.stages["harvest"] = harvested.stats
 
         # --- normalize -------------------------------------------------------------
         stage = "normalize"
@@ -225,7 +283,7 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         stage = "sensitivity"
         groups = list(taxonomy.groups)
         for endpoint in ("origin", "destination"):
-            table = sensitivity(associated, cfg.thresholds, endpoint, catalog, groups=groups)
+            table = sensitivity(associated, cfg.thresholds, endpoint, catalog, groups)
             path = out_dir / f"sensitivity_{endpoint}.csv"
             write_sensitivity_csv(table, path)
             artifact(path)
@@ -233,41 +291,10 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
 
         # --- report ------------------------------------------------------------------
         stage = "report"
-        matrices = []
-        overall = build_matrix(within, catalog, groups=groups)
-        matrices.append(overall)
-        overall_path = out_dir / "matrix_overall.csv"
-        write_matrix_csv(overall, overall_path)
-        artifact(overall_path)
-        for slot in TimeSlot:
-            m = build_matrix(within, catalog, slice=slot_predicate(slot, cfg.timezone), slice_key=slot.label, groups=groups)
-            matrices.append(m)
-            p = out_dir / f"matrix_slot_{slot.label}.csv"
-            write_matrix_csv(m, p)
+        paths, report_stats = write_report(within, catalog, groups, cfg.timezone, cfg.drilldowns, out_dir)
+        for p in paths:
             artifact(p)
-        for cls in ("weekday", "weekend"):
-            m = build_matrix(within, catalog, slice=day_class_predicate(cls, cfg.timezone), slice_key=cls, groups=groups)
-            matrices.append(m)
-            p = out_dir / f"matrix_{cls}.csv"
-            write_matrix_csv(m, p)
-            artifact(p)
-        long_path = out_dir / "matrices_long.csv"
-        write_matrix_long_csv(matrices, long_path)
-        artifact(long_path)
-        drill_cells = {}
-        for spec in cfg.drilldowns:
-            og, dg = spec.split(":", 1)
-            drill = drill_down(within, catalog, og, dg)
-            safe = f"{og}_{dg}".replace("/", "-").replace(" ", "_")
-            p = out_dir / f"drill_{safe}.csv"
-            write_drilldown_csv(drill, p)
-            artifact(p)
-            drill_cells[spec] = drill.total
-        manifest.stages["report"] = {
-            "matrix_total": overall.total,
-            "slots": [s.label for s in TimeSlot],
-            "drilldowns": drill_cells,
-        }
+        manifest.stages["report"] = report_stats
     except Exception as exc:
         manifest.status = "FAILED"
         manifest.failed_stage = stage

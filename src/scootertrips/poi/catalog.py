@@ -232,7 +232,7 @@ def _select_targets(catalog: Sequence[Poi], selector: dict) -> list[Poi]:
 
 def generate_buffers(catalog: Sequence[Poi], specs: Iterable[BufferSpec]) -> list[Poi]:
     """Ring synthetic POIs around selected parents; buffers inherit the parent's
-    primary type (and group, once assigned) and carry parent_id."""
+    primary type and carry parent_id."""
     out = list(catalog)
     for spec in specs:
         targets = _select_targets(catalog, spec.selector)
@@ -252,7 +252,6 @@ def generate_buffers(catalog: Sequence[Poi], specs: Iterable[BufferSpec]) -> lis
                             position=pos,
                             predefined_types=parent.predefined_types,
                             primary_type=parent.primary_type,
-                            group=parent.group,
                             source="buffer",
                             parent_id=parent.id,
                         )

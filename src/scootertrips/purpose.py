@@ -111,14 +111,12 @@ def _poi_of(by_id: dict[str, Poi], pid: str) -> Poi:
 def build_matrix(
     trips: Sequence[AssociatedTrip],
     catalog: Sequence[Poi],
+    groups: Sequence[str],
     slice: Callable[[AssociatedTrip], bool] | None = None,
     slice_key: str | None = None,
-    groups: Sequence[str] | None = None,
 ) -> PurposeMatrix:
     """Count trips per (origin group, destination group) cell, optionally sliced."""
     by_id = _group_lookup(catalog)
-    if groups is None:
-        groups = sorted({p.group for p in catalog if p.group is not None})
     groups = list(groups)
     pos = {g: i for i, g in enumerate(groups)}
     counts = np.zeros((len(groups), len(groups)), dtype=np.int64)

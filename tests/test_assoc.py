@@ -150,18 +150,18 @@ class TestSensitivity:
 
     def test_direct_counting(self):
         associated = [assoc_stub(0, d, dest_poi="A") for d in (10.0, 40.0, 60.0)]
-        table = sensitivity(associated, [25.0, 50.0, 75.0], "destination", self.catalog())
+        table = sensitivity(associated, [25.0, 50.0, 75.0], "destination", self.catalog(), groups=["Food", "Parking"])
         row = table.counts[table.groups.index("Food")]
         assert row.tolist() == [1, 2, 3]
 
     def test_empty_association_list(self):
-        table = sensitivity([], [25.0, 50.0], "origin", self.catalog())
+        table = sensitivity([], [25.0, 50.0], "origin", self.catalog(), groups=["Food", "Parking"])
         assert table.counts.sum() == 0
         assert table.percents.sum() == 0
 
     def test_two_equal_groups_split_percent(self):
         associated = [assoc_stub(0, 10.0, dest_poi="A"), assoc_stub(0, 12.0, dest_poi="B")]
-        table = sensitivity(associated, [25.0, 50.0], "destination", self.catalog())
+        table = sensitivity(associated, [25.0, 50.0], "destination", self.catalog(), groups=["Food", "Parking"])
         assert np.allclose(table.percents[:, 0].max(), 50.0)
         assert np.allclose(table.percents.sum(axis=0), 100.0)
 
@@ -173,7 +173,7 @@ class TestSensitivity:
             for _ in range(200)
         ]
         thresholds = [0.0, 10.0, 25.0, 50.0, 75.0, 100.0]
-        table = sensitivity(associated, thresholds, "destination", cat)
+        table = sensitivity(associated, thresholds, "destination", cat, groups=["Food", "Parking"])
         diffs = np.diff(table.counts, axis=1)
         assert (diffs >= 0).all()
         sums = table.percents.sum(axis=0)
@@ -182,7 +182,7 @@ class TestSensitivity:
 
     def test_endpoint_origin_uses_origin_distance(self):
         associated = [assoc_stub(10.0, 500.0, origin_poi="A", dest_poi="B")]
-        table = sensitivity(associated, [25.0], "origin", self.catalog())
+        table = sensitivity(associated, [25.0], "origin", self.catalog(), groups=["Food", "Parking"])
         assert table.counts[table.groups.index("Food"), 0] == 1
 
 

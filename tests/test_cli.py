@@ -1,7 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from scootertrips.config import load_config
+from scootertrips.errors import InvalidConfig
+from scootertrips.poi import load_raw_pois
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
@@ -85,6 +90,18 @@ def test_harvest_budget_exhausted_exit_code(tmp_path):
     assert (tmp_path / "pois.json").exists()
 
 
+def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
+    pois = tmp_path / "pois.json"
+    report = tmp_path / "report.json"
+    code = main([
+        "harvest", "--grid", "8x8", "--plan", str(DEMO / "plan.json"), "--budget", "1100", "--densify",
+        "--fixtures", str(DEMO / "fixtures"), "--out", str(pois), "--report", str(report),
+    ])
+    assert code == EXIT_BUDGET
+    assert len(load_raw_pois(pois)) == 38
+    assert len(json.loads(report.read_text())["harvests"]) == 2
+
+
 def test_harvest_normalize_associate_sensitivity_report(tmp_path):
     scenario = write_scenario(tmp_path, anchors=[[33.7570, -84.3960], [33.7610, -84.3880], [33.7700, -84.3840]])
     feed = tmp_path / "feed.jsonl"
@@ -114,7 +131,7 @@ def test_harvest_normalize_associate_sensitivity_report(tmp_path):
 
     out_dir = tmp_path / "report"
     assert main([
-        "report", "--assoc", str(assoc), "--catalog", str(catalog), "--by", "all",
+        "report", "--assoc", str(assoc), "--catalog", str(catalog),
         "--drill", "Food:Food", "--out", str(out_dir),
     ]) == EXIT_OK
     assert (out_dir / "matrix_overall.csv").exists()
@@ -190,3 +207,52 @@ def test_run_missing_fixtures_dir_fails_with_stage(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "FAILED"
     assert manifest["failed_stage"] == "harvest"
+
+
+def test_documented_chain_reproduces_run(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(DEMO / "config.json"), "--out-dir", str(run_dir)]) == EXIT_OK
+    # run crops trips to the region and the chain has no crop step, so the
+    # comparison only means something while the demo crops nothing
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["crop"]["removed_outside_region"] == 0
+
+    out = tmp_path / "chain"
+    out.mkdir()
+    trips, pois, catalog = out / "trips.csv", out / "pois_raw.json", out / "catalog.json"
+    assoc, within = out / "assoc.csv", out / "assoc_within_cutoff.csv"
+    chain = [
+        ["simulate", "--config", str(DEMO / "scenario.json"), "--out", str(out / "feed.jsonl"),
+         "--truth", str(out / "truth.json")],
+        ["extract", "--input", str(out / "feed.jsonl"), "--out", str(trips)],
+        ["harvest", "--grid", "8x8", "--plan", str(DEMO / "plan.json"), "--budget", "20000", "--densify",
+         "--fixtures", str(DEMO / "fixtures"), "--out", str(pois)],
+        ["normalize", "--in", str(pois), "--out", str(catalog)],
+        ["associate", "--trips", str(trips), "--catalog", str(catalog), "--out", str(assoc)],
+        ["associate", "--trips", str(trips), "--catalog", str(catalog), "--cutoff", "50", "--out", str(within)],
+        ["sensitivity", "--assoc", str(assoc), "--catalog", str(catalog), "--endpoint", "origin",
+         "--out", str(out / "sensitivity_origin.csv")],
+        ["sensitivity", "--assoc", str(assoc), "--catalog", str(catalog), "--endpoint", "destination",
+         "--out", str(out / "sensitivity_destination.csv")],
+        ["report", "--assoc", str(within), "--catalog", str(catalog), "--drill", "Business:Business",
+         "--drill", "Recreation:Recreation", "--out", str(out)],
+    ]
+    for argv in chain:
+        assert main(argv) == EXIT_OK, argv
+
+    names = ["trips.csv", "pois_raw.json", "catalog.json", "assoc.csv", "assoc_within_cutoff.csv",
+             "matrices_long.csv", "sensitivity_origin.csv", "sensitivity_destination.csv",
+             "drill_Business_Business.csv", "drill_Recreation_Recreation.csv"]
+    matrices = sorted(p.name for p in run_dir.glob("matrix_*.csv"))
+    assert len(matrices) == 8
+    for name in names + matrices:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_config_rejects_a_second_timezone(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/New_York"}}))
+    with pytest.raises(InvalidConfig, match="cleaning.timezone"):
+        load_config(path)
+    path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/Chicago"}}))
+    assert load_config(path)[0].cleaning.timezone == "America/Chicago"
