@@ -4,4 +4,4 @@ endpoints to points of interest, and aggregate trip purposes by POI group."""
 __version__ = "0.1.0"
 
 from .geo import Bbox, GeoPoint  # noqa: F401
-from .trips import CleaningRules, RawTrip, Trip  # noqa: F401
+from .trips import CleaningRules, TripTable  # noqa: F401

@@ -10,16 +10,22 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DanglingPoiReference, EmptyCatalog
-from .geo import GeoPoint, SpatialIndex, build_spatial_index, nearest_k_batch
+from .geo import SpatialIndex, build_spatial_index, nearest_k_batch
 from .poi import Poi
-from .ingest import format_ts, parse_ts
-from .trips import TRIP_CSV_COLUMNS, RawTrip, Trip
+from .trips import (
+    TRIP_CSV_COLUMNS,
+    TripTable,
+    float_column,
+    repr_floats,
+    trip_csv_columns,
+    trip_table_from_records,
+)
 
 log = logging.getLogger(__name__)
 
@@ -30,16 +36,6 @@ ASSOC_CSV_COLUMNS = TRIP_CSV_COLUMNS + (
     "dest_dist_m",
     "origin_reassigned",
 )
-
-
-@dataclass(frozen=True)
-class AssociatedTrip:
-    trip: Trip
-    origin_poi: str
-    origin_dist_m: float
-    dest_poi: str
-    dest_dist_m: float
-    origin_reassigned: bool = False
 
 
 @dataclass
@@ -55,7 +51,7 @@ def catalog_index(catalog: Sequence[Poi]) -> SpatialIndex:
     return build_spatial_index((p.id, p.position) for p in catalog)
 
 
-def associate(trips: Sequence[Trip], index: SpatialIndex) -> list[AssociatedTrip]:
+def associate(trips: TripTable, index: SpatialIndex) -> TripTable:
     """Attach the nearest POI (id + distance) to each trip endpoint.
 
     Matches a brute-force scan ordered by (distance, id). With a single-POI
@@ -65,33 +61,49 @@ def associate(trips: Sequence[Trip], index: SpatialIndex) -> list[AssociatedTrip
     n = len(index)
     if n == 0:
         raise EmptyCatalog("cannot associate trips against an empty catalog")
-    if not trips:
-        return []
-    o_rows, o_dist = nearest_k_batch(index, [t.origin.lat for t in trips], [t.origin.lon for t in trips], k=2)
-    d_rows, d_dist = nearest_k_batch(index, [t.destination.lat for t in trips], [t.destination.lon for t in trips], k=1)
+    o_rows, o_dist = nearest_k_batch(index, trips.origin_lat, trips.origin_lon, k=2)
+    d_rows, d_dist = nearest_k_batch(index, trips.dest_lat, trips.dest_lon, k=1)
     reassigned = o_rows[:, 0] == d_rows[:, 0] if n > 1 else np.zeros(len(trips), dtype=bool)
     pick = np.arange(len(trips)), reassigned.astype(np.intp)
-    o_poi, o_m = o_rows[pick].tolist(), o_dist[pick].tolist()
-    d_poi, d_m = d_rows[:, 0].tolist(), d_dist[:, 0].tolist()
-    ids = index.ids
-    out = [
-        AssociatedTrip(
-            trip=trip,
-            origin_poi=ids[o_poi[i]],
-            origin_dist_m=o_m[i],
-            dest_poi=ids[d_poi[i]],
-            dest_dist_m=d_m[i],
-            origin_reassigned=r,
-        )
-        for i, (trip, r) in enumerate(zip(trips, reassigned.tolist()))
-    ]
-    if n == 1:
+    if n == 1 and len(trips):
         log.warning("%d trips could not be reassigned away from a shared POI (single-POI catalog)", len(trips))
+    return replace(
+        trips,
+        poi_ids=index.ids,
+        origin_poi=o_rows[pick].astype(np.int64),
+        origin_dist=o_dist[pick],
+        dest_poi=d_rows[:, 0].astype(np.int64),
+        dest_dist=d_dist[:, 0],
+        reassigned=reassigned,
+    )
+
+
+def referenced_pois(trips: TripTable, codes: np.ndarray, catalog: Sequence[Poi]) -> dict[int, Poi]:
+    """The catalog POI behind every distinct code into trips.poi_ids in codes;
+    a POI missing from the catalog or without a group raises."""
+    by_id = {p.id: p for p in catalog}
+    out = {}
+    for code in np.unique(codes).tolist():
+        poi = by_id.get(trips.poi_ids[code])
+        if poi is None or poi.group is None:
+            raise DanglingPoiReference(f"trip references POI {trips.poi_ids[code]!r} with no catalog group")
+        out[code] = poi
     return out
 
 
+def group_codes(trips: TripTable, codes: np.ndarray, catalog: Sequence[Poi], groups: Sequence[str]) -> np.ndarray:
+    """Position in groups of each POI code's group."""
+    pos = {g: i for i, g in enumerate(groups)}
+    lut = np.zeros(len(trips.poi_ids), dtype=np.int64)
+    for code, poi in referenced_pois(trips, codes, catalog).items():
+        if poi.group not in pos:
+            raise DanglingPoiReference(f"POI {poi.id!r} has group {poi.group!r}, which is not one of {list(groups)}")
+        lut[code] = pos[poi.group]
+    return lut[codes]
+
+
 def sensitivity(
-    associated: Sequence[AssociatedTrip],
+    associated: TripTable,
     thresholds: Sequence[float],
     endpoint: str,
     catalog: Sequence[Poi],
@@ -103,20 +115,15 @@ def sensitivity(
     thresholds = [float(t) for t in thresholds]
     if any(t < 0 for t in thresholds) or sorted(thresholds) != thresholds:
         raise ValueError("thresholds must be ascending and non-negative")
-    by_id = {p.id: p for p in catalog}
-    group_pos = {g: i for i, g in enumerate(groups)}
-    counts = np.zeros((len(groups), len(thresholds)), dtype=np.int64)
-    th = np.asarray(thresholds, dtype=np.float64)
-    for a in associated:
-        pid = a.origin_poi if endpoint == "origin" else a.dest_poi
-        dist = a.origin_dist_m if endpoint == "origin" else a.dest_dist_m
-        poi = by_id.get(pid)
-        if poi is None:
-            raise DanglingPoiReference(f"associated trip references unknown POI {pid!r}")
-        gi = group_pos[poi.group]
-        ti = int(np.searchsorted(th, dist, side="left"))
-        if ti < len(thresholds):
-            counts[gi, ti] += 1
+    if endpoint == "origin":
+        pois, dist = associated.origin_poi, associated.origin_dist
+    else:
+        pois, dist = associated.dest_poi, associated.dest_dist
+    gi = group_codes(associated, pois, catalog, groups)
+    ti = np.searchsorted(np.asarray(thresholds, dtype=np.float64), dist, side="left")
+    inside = ti < len(thresholds)  # farther than the largest threshold: counted nowhere
+    shape = (len(groups), len(thresholds))
+    counts = np.bincount(gi[inside] * shape[1] + ti[inside], minlength=shape[0] * shape[1]).reshape(shape)
     counts = np.cumsum(counts, axis=1)
     totals = counts.sum(axis=0).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -126,78 +133,45 @@ def sensitivity(
     )
 
 
-def apply_threshold(
-    associated: Sequence[AssociatedTrip], cutoff_m: float = 50.0, endpoint: str = "both"
-) -> list[AssociatedTrip]:
-    """Keep trips associated at cutoff_m or less.
-
-    endpoint selects which distance must qualify: "both" (the default used for
-    purpose analysis) or a single side, as the per-endpoint sensitivity
-    breakdowns use.
-    """
+def apply_threshold(associated: TripTable, cutoff_m: float = 50.0) -> TripTable:
+    """Keep trips whose origin and destination are both associated at cutoff_m or less."""
     if cutoff_m < 0:
         raise ValueError("cutoff_m must be >= 0")
-    if endpoint == "both":
-        return [a for a in associated if a.origin_dist_m <= cutoff_m and a.dest_dist_m <= cutoff_m]
-    if endpoint == "origin":
-        return [a for a in associated if a.origin_dist_m <= cutoff_m]
-    if endpoint == "destination":
-        return [a for a in associated if a.dest_dist_m <= cutoff_m]
-    raise ValueError(f"endpoint must be both, origin, or destination, got {endpoint!r}")
+    return associated.take((associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m))
 
 
-def write_associated_csv(associated: Iterable[AssociatedTrip], path) -> int:
-    n = 0
+def write_associated_csv(associated: TripTable, path) -> int:
+    poi_ids = np.asarray(associated.poi_ids, dtype=object)
+    columns = trip_csv_columns(associated) + [
+        poi_ids[associated.origin_poi].tolist(),
+        repr_floats(associated.origin_dist),
+        poi_ids[associated.dest_poi].tolist(),
+        repr_floats(associated.dest_dist),
+        np.where(associated.reassigned, "true", "false").tolist(),
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ASSOC_CSV_COLUMNS)
-        for a in associated:
-            t = a.trip
-            writer.writerow(
-                [
-                    t.scooter_id,
-                    repr(float(t.origin.lat)),
-                    repr(float(t.origin.lon)),
-                    repr(float(t.destination.lat)),
-                    repr(float(t.destination.lon)),
-                    format_ts(t.start_ts),
-                    format_ts(t.end_ts),
-                    repr(float(t.displacement_m)),
-                    a.origin_poi,
-                    repr(float(a.origin_dist_m)),
-                    a.dest_poi,
-                    repr(float(a.dest_dist_m)),
-                    "true" if a.origin_reassigned else "false",
-                ]
-            )
-            n += 1
-    return n
+        writer.writerows(zip(*columns))
+    return len(associated)
 
 
-def read_associated_csv(path) -> list[AssociatedTrip]:
-    out = []
+def read_associated_csv(path) -> TripTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, 2):
-            trip = RawTrip(
-                scooter_id=row["scooter_id"],
-                origin=GeoPoint(float(row["origin_lat"]), float(row["origin_lon"])),
-                destination=GeoPoint(float(row["dest_lat"]), float(row["dest_lon"])),
-                start_ts=parse_ts(row["start_ts"], i),
-                end_ts=parse_ts(row["end_ts"], i),
-                displacement_m=float(row["displacement_m"]),
-            )
-            out.append(
-                AssociatedTrip(
-                    trip=trip,
-                    origin_poi=row["origin_poi"],
-                    origin_dist_m=float(row["origin_dist_m"]),
-                    dest_poi=row["dest_poi"],
-                    dest_dist_m=float(row["dest_dist_m"]),
-                    origin_reassigned=row["origin_reassigned"] == "true",
-                )
-            )
-    return out
+        records = list(csv.DictReader(fh))
+    trips = trip_table_from_records(records)
+    code_of: dict[str, int] = {}
+    origin = [code_of.setdefault(row["origin_poi"], len(code_of)) for row in records]
+    dest = [code_of.setdefault(row["dest_poi"], len(code_of)) for row in records]
+    return replace(
+        trips,
+        poi_ids=list(code_of),
+        origin_poi=np.asarray(origin, dtype=np.int64),
+        origin_dist=float_column(records, "origin_dist_m"),
+        dest_poi=np.asarray(dest, dtype=np.int64),
+        dest_dist=float_column(records, "dest_dist_m"),
+        reassigned=np.array([row["origin_reassigned"] == "true" for row in records], dtype=bool),
+    )
 
 
 def write_sensitivity_csv(table: SensitivityTable, path) -> None:

@@ -59,6 +59,19 @@ def parse_thresholds(spec) -> list[float]:
     return out
 
 
+def parse_drill_spec(spec: str, groups=None) -> tuple[str, str]:
+    """Split an 'OriginGroup:DestGroup' drill-down spec; with groups given, both
+    must be among them."""
+    origin, sep, dest = str(spec).partition(":")
+    if not (sep and origin and dest):
+        raise InvalidConfig(f"drilldown {spec!r} is not of the form 'OriginGroup:DestGroup'")
+    if groups is not None:
+        unknown = [repr(g) for g in dict.fromkeys((origin, dest)) if g not in groups]
+        if unknown:
+            raise InvalidConfig(f"drilldown {spec!r} names {' and '.join(unknown)}, not in the taxonomy groups")
+    return origin, dest
+
+
 @dataclass
 class PipelineConfig:
     feed: str | None = None
@@ -93,9 +106,8 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must be >= 1")
         if not 0 < self.densify_fraction <= 1:
             raise InvalidConfig("densify_fraction must be in (0, 1]")
-        for d in self.drilldowns:
-            if ":" not in d:
-                raise InvalidConfig(f"drilldown must be 'OriginGroup:DestGroup', got {d!r}")
+        for spec in self.drilldowns:
+            parse_drill_spec(spec)
 
 
 def load_config(path) -> tuple[PipelineConfig, dict]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .assoc import apply_threshold, associate, catalog_index, sensitivity, write_associated_csv, write_sensitivity_csv
-from .config import PipelineConfig, config_hash
+from .config import PipelineConfig, config_hash, parse_drill_spec
 from .errors import BudgetExhausted, ClientError, InvalidConfig, PipelineError
 from .geo import make_grid
 from .ingest import parse_snapshot_stream
@@ -157,7 +157,9 @@ def write_report(within, catalog, groups, tz: str, drilldowns, out_dir) -> tuple
     """Write the overall, per-slot and weekday/weekend purpose matrices over
     the groups axis, their long form, and one drill-down per
     'OriginGroup:DestGroup' spec into out_dir; returns the written paths and
-    the manifest's report stage."""
+    the manifest's report stage. A spec naming a group off the axis raises
+    InvalidConfig before anything is written."""
+    cells = [(spec, *parse_drill_spec(spec, groups)) for spec in drilldowns]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     slices = [(None, None, "matrix_overall.csv")]
@@ -172,8 +174,7 @@ def write_report(within, catalog, groups, tz: str, drilldowns, out_dir) -> tuple
     paths.append(out_dir / "matrices_long.csv")
     write_matrix_long_csv(matrices, paths[-1])
     drill_cells = {}
-    for spec in drilldowns:
-        og, dg = spec.split(":", 1)
+    for spec, og, dg in cells:
         drill = drill_down(within, catalog, og, dg)
         safe = f"{og}_{dg}".replace("/", "-").replace(" ", "_")
         paths.append(out_dir / f"drill_{safe}.csv")
@@ -275,8 +276,8 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
             "associated": len(associated),
             "within_cutoff": len(within),
             "cutoff_m": cfg.cutoff_m,
-            "origin_reassigned": sum(1 for a in associated if a.origin_reassigned),
-            "unresolved_collisions": sum(1 for a in associated if a.origin_poi == a.dest_poi),
+            "origin_reassigned": int(associated.reassigned.sum()),
+            "unresolved_collisions": int((associated.origin_poi == associated.dest_poi).sum()),
         }
 
         # --- sensitivity -----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Aggregate associated trips into purpose matrices, time/day slices, drill-downs,
-and per-trip cost estimates."""
+"""Aggregate associated trips into purpose matrices, time/day slices and
+drill-downs."""
 
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .assoc import AssociatedTrip
-from .errors import DanglingPoiReference, OutOfOperatingHours
+from .assoc import group_codes, referenced_pois
+from .errors import OutOfOperatingHours
 from .poi import Poi
-from .trips import DEFAULT_TIMEZONE, Trip
+from .trips import DEFAULT_TIMEZONE, TripTable, local_fields
 
 log = logging.getLogger(__name__)
 
@@ -43,33 +43,33 @@ class TimeSlot(Enum):
         return self.name.lower()
 
 
-def classify_slot(ts: datetime) -> TimeSlot:
-    """Slot containing a local timestamp; errors outside operating hours."""
-    minute = ts.hour * 60 + ts.minute
-    for slot in TimeSlot:
-        if slot.start_minute <= minute < slot.end_minute:
-            return slot
-    raise OutOfOperatingHours(f"{ts.isoformat()} is outside the 07:00-21:00 operating window")
+def slot_predicate(slot: TimeSlot, tz_name: str = DEFAULT_TIMEZONE) -> Callable[[TripTable], np.ndarray]:
+    """A function giving the mask of trips that start in slot. Trips are slotted
+    by their local start, the rider's decision point; a start outside the
+    07:00-21:00 operating window has no slot and raises."""
+
+    def in_slot(trips: TripTable) -> np.ndarray:
+        _, minutes = local_fields(trips.start, tz_name)
+        outside = (minutes < TimeSlot.MORNING.start_minute) | (minutes >= TimeSlot.NIGHT.end_minute)
+        if outside.any():
+            ts = datetime.fromtimestamp(int(trips.start[np.argmax(outside)]), ZoneInfo(tz_name))
+            raise OutOfOperatingHours(f"{ts.isoformat()} is outside the 07:00-21:00 operating window")
+        return (minutes >= slot.start_minute) & (minutes < slot.end_minute)
+
+    return in_slot
 
 
-def slot_of_trip(trip: Trip, tz_name: str = DEFAULT_TIMEZONE) -> TimeSlot:
-    """Trips are slotted by their start time, the rider's decision point."""
-    return classify_slot(trip.start_ts.astimezone(ZoneInfo(tz_name)))
-
-
-def day_class(trip: Trip, tz_name: str = DEFAULT_TIMEZONE) -> str:
-    local = trip.start_ts.astimezone(ZoneInfo(tz_name))
-    return "weekday" if local.weekday() < 5 else "weekend"
-
-
-def slot_predicate(slot: TimeSlot, tz_name: str = DEFAULT_TIMEZONE) -> Callable[[AssociatedTrip], bool]:
-    return lambda a: slot_of_trip(a.trip, tz_name) is slot
-
-
-def day_class_predicate(cls: str, tz_name: str = DEFAULT_TIMEZONE) -> Callable[[AssociatedTrip], bool]:
+def day_class_predicate(cls: str, tz_name: str = DEFAULT_TIMEZONE) -> Callable[[TripTable], np.ndarray]:
+    """A function giving the mask of trips that start on a weekday, or on a weekend."""
     if cls not in ("weekday", "weekend"):
         raise ValueError(f"day class must be weekday or weekend, got {cls!r}")
-    return lambda a: day_class(a.trip, tz_name) == cls
+
+    def in_class(trips: TripTable) -> np.ndarray:
+        days, _ = local_fields(trips.start, tz_name)
+        weekday = (days - 1) % 7 < 5  # ordinal 1 (0001-01-01) is a Monday
+        return weekday if cls == "weekday" else ~weekday
+
+    return in_class
 
 
 @dataclass
@@ -97,55 +97,41 @@ class DrillDown:
         return sum(self.counts.values())
 
 
-def _group_lookup(catalog: Sequence[Poi]) -> dict[str, Poi]:
-    return {p.id: p for p in catalog}
-
-
-def _poi_of(by_id: dict[str, Poi], pid: str) -> Poi:
-    poi = by_id.get(pid)
-    if poi is None or poi.group is None:
-        raise DanglingPoiReference(f"trip references POI {pid!r} with no catalog group")
-    return poi
-
-
 def build_matrix(
-    trips: Sequence[AssociatedTrip],
+    trips: TripTable,
     catalog: Sequence[Poi],
     groups: Sequence[str],
-    slice: Callable[[AssociatedTrip], bool] | None = None,
+    slice: Callable[[TripTable], np.ndarray] | None = None,
     slice_key: str | None = None,
 ) -> PurposeMatrix:
     """Count trips per (origin group, destination group) cell, optionally sliced."""
-    by_id = _group_lookup(catalog)
     groups = list(groups)
-    pos = {g: i for i, g in enumerate(groups)}
-    counts = np.zeros((len(groups), len(groups)), dtype=np.int64)
-    for a in trips:
-        if slice is not None and not slice(a):
-            continue
-        og = _poi_of(by_id, a.origin_poi).group
-        dg = _poi_of(by_id, a.dest_poi).group
-        counts[pos[og], pos[dg]] += 1
+    if slice is not None:
+        trips = trips.take(slice(trips))
+    n, m = len(groups), len(trips)
+    codes = group_codes(trips, np.concatenate([trips.origin_poi, trips.dest_poi]), catalog, groups)
+    counts = np.bincount(codes[:m] * n + codes[m:], minlength=n * n).reshape(n, n)
     return PurposeMatrix(groups=groups, counts=counts, slice_key=slice_key)
 
 
 def drill_down(
-    trips: Sequence[AssociatedTrip],
+    trips: TripTable,
     catalog: Sequence[Poi],
     origin_group: str,
     dest_group: str,
 ) -> DrillDown:
     """Per-primary-type counts inside one matrix cell."""
-    by_id = _group_lookup(catalog)
-    counts: dict[tuple[str, str], int] = {}
-    for a in trips:
-        o = _poi_of(by_id, a.origin_poi)
-        d = _poi_of(by_id, a.dest_poi)
-        if o.group != origin_group or d.group != dest_group:
-            continue
-        key = (o.primary_type, d.primary_type)
-        counts[key] = counts.get(key, 0) + 1
-    return DrillDown(origin_group=origin_group, dest_group=dest_group, counts=counts)
+    pois = referenced_pois(trips, np.concatenate([trips.origin_poi, trips.dest_poi]), catalog)
+    o_cell = [code for code, poi in pois.items() if poi.group == origin_group]
+    d_cell = [code for code, poi in pois.items() if poi.group == dest_group]
+    in_cell = np.isin(trips.origin_poi, o_cell) & np.isin(trips.dest_poi, d_cell)
+    width = len(trips.poi_ids)
+    pairs, counts = np.unique(trips.origin_poi[in_cell] * width + trips.dest_poi[in_cell], return_counts=True)
+    out: dict[tuple[str, str], int] = {}
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        key = (pois[pair // width].primary_type, pois[pair % width].primary_type)
+        out[key] = out.get(key, 0) + count
+    return DrillDown(origin_group=origin_group, dest_group=dest_group, counts=out)
 
 
 def write_matrix_csv(matrix: PurposeMatrix, path) -> None:

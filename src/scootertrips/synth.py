@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from .ingest import SnapshotBatch, write_snapshot_stream
-from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, RawTrip
+from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, TripTable
 
 log = logging.getLogger(__name__)
 
@@ -312,7 +312,7 @@ def load_truth(path) -> tuple[list[TruthTrip], int, str]:
 
 def score(
     truth: Sequence[TruthTrip],
-    extracted: Sequence[RawTrip],
+    extracted: TripTable,
     cadence_s: int,
     *,
     timezone_name: str = DEFAULT_TIMEZONE,
@@ -330,8 +330,8 @@ def score(
     tz = ZoneInfo(timezone_name)
 
     phase = 0
-    if extracted:
-        phase = int(min(int(t.start_ts.timestamp()) for t in extracted)) % cadence_s
+    if len(extracted):
+        phase = int(extracted.start.min()) % cadence_s
 
     def tick_floor(t: float) -> int:
         return phase + int(math.floor((t - phase) / cadence_s)) * cadence_s
@@ -339,9 +339,14 @@ def score(
     def tick_ceil(t: float) -> int:
         return phase + int(math.ceil((t - phase) / cadence_s)) * cadence_s
 
-    by_key = {}
-    for t in extracted:
-        by_key[(t.scooter_id, int(t.start_ts.timestamp()), int(t.end_ts.timestamp()))] = t
+    rows = zip(
+        map(extracted.ids.__getitem__, extracted.scooter.tolist()),
+        extracted.start.tolist(),
+        extracted.end.tolist(),
+        zip(extracted.origin_lat.tolist(), extracted.origin_lon.tolist()),
+        zip(extracted.dest_lat.tolist(), extracted.dest_lon.tolist()),
+    )
+    by_key = {(sid, start, end): (origin, dest) for sid, start, end, origin, dest in rows}
 
     per_scooter: dict[str, list[TruthTrip]] = {}
     for t in truth:
@@ -368,7 +373,7 @@ def score(
             hit = by_key.get((sid, t1, t2))
             if hit is None:
                 continue
-            if hit.origin != t.origin or hit.destination != t.destination:
+            if hit != (t.origin, t.destination):
                 report.endpoint_mismatches += 1
                 continue
             matched_keys.add((sid, t1, t2))

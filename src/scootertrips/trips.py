@@ -1,4 +1,5 @@
-"""Trip reconstruction from per-scooter observation timelines, plus the cleaning filters.
+"""Trip reconstruction from per-scooter observation timelines, the cleaning
+filters, and the columnar TripTable that carries trips between stages.
 
 A scooter that reappears away from where it was parked moved while it was
 absent: the last update that saw it parked brackets the trip start and the
@@ -11,16 +12,16 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timezone
-from typing import Iterable
+from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from . import kernels
 from .errors import InvalidConfig
-from .geo import Bbox, GeoPoint
+from .geo import Bbox
 from .ingest import SnapshotBatch, format_ts, parse_ts
 
 log = logging.getLogger(__name__)
@@ -42,18 +43,43 @@ TRIP_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RawTrip:
-    scooter_id: str
-    origin: GeoPoint
-    destination: GeoPoint
-    start_ts: datetime
-    end_ts: datetime
-    displacement_m: float
+@dataclass(frozen=True, eq=False)
+class TripTable:
+    """Trips as columns, one row per trip.
 
+    `scooter` holds codes into `ids`; `start`/`end` are UTC epoch seconds.
+    `associate` fills the association columns: `origin_poi`/`dest_poi` hold
+    codes into `poi_ids`, with the endpoint distances in meters and the
+    origin-reassignment flag. Filters select rows and keep the order.
+    """
 
-# Cleaning only filters, so cleaned trips share the shape.
-Trip = RawTrip
+    ids: Sequence[str]
+    scooter: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    origin_lat: np.ndarray
+    origin_lon: np.ndarray
+    dest_lat: np.ndarray
+    dest_lon: np.ndarray
+    displacement: np.ndarray
+    poi_ids: Sequence[str] = ()
+    origin_poi: np.ndarray | None = None
+    origin_dist: np.ndarray | None = None
+    dest_poi: np.ndarray | None = None
+    dest_dist: np.ndarray | None = None
+    reassigned: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.start.shape[0]
+
+    def take(self, rows: np.ndarray) -> "TripTable":
+        """The rows a boolean mask or an index array selects, in that order."""
+        columns = {
+            f.name: getattr(self, f.name)[rows]
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)
+        }
+        return replace(self, **columns)
 
 
 @dataclass(frozen=True)
@@ -140,12 +166,13 @@ def extract_trips(
     *,
     timezone_name: str = DEFAULT_TIMEZONE,
     colocation_eps_m: float = COLOCATION_EPS_M,
-) -> list[RawTrip]:
+) -> TripTable:
     """Reconstruct raw trips from an ordered batch stream.
 
     For each scooter, every pair of consecutive observations on the same local
     day whose positions differ by more than the colocation epsilon yields one
     trip: origin at the earlier (last-seen) batch, destination at the later.
+    Rows are ordered by (start, scooter id, end).
     """
     code_of: dict[str, int] = {}  # scooter id -> code, in order of first sighting
     batch_ts: list[int] = []
@@ -166,8 +193,6 @@ def extract_trips(
         codes.frombytes(batch_codes.tobytes())
         lats.frombytes(batch.lat.tobytes())
         lons.frombytes(batch.lon.tobytes())
-    if len(codes) < 2:
-        return []
     codes_a = np.frombuffer(codes, dtype=np.int64)
     lat_a = np.frombuffer(lats, dtype=np.float64)
     lon_a = np.frombuffer(lons, dtype=np.float64)
@@ -185,25 +210,27 @@ def extract_trips(
     del order, codes_a, ts_a, lat_a, lon_a, days_a, codes, lats, lons  # the scan needs only the sorted copies
 
     pair_idx, pair_dist = kernels.pair_scan(codes_s, days_s, lat_s, lon_s, colocation_eps_m)
+    nxt = pair_idx + 1
+    ids = list(code_of)
+    # codes follow first sighting; the row order needs the ids' string order
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    scooter, start, end = codes_s[pair_idx], ts_s[pair_idx], ts_s[nxt]
+    table = TripTable(
+        ids=ids,
+        scooter=scooter,
+        start=start,
+        end=end,
+        origin_lat=lat_s[pair_idx],
+        origin_lon=lon_s[pair_idx],
+        dest_lat=lat_s[nxt],
+        dest_lon=lon_s[nxt],
+        displacement=pair_dist,
+    )
+    return table.take(np.lexsort((end, rank[scooter], start)))
 
-    id_list = list(code_of)
-    utc = timezone.utc
-    trips = [
-        RawTrip(
-            scooter_id=id_list[codes_s[i]],
-            origin=GeoPoint(float(lat_s[i]), float(lon_s[i])),
-            destination=GeoPoint(float(lat_s[i + 1]), float(lon_s[i + 1])),
-            start_ts=datetime.fromtimestamp(int(ts_s[i]), tz=utc),
-            end_ts=datetime.fromtimestamp(int(ts_s[i + 1]), tz=utc),
-            displacement_m=float(d),
-        )
-        for i, d in zip(pair_idx, pair_dist)
-    ]
-    trips.sort(key=lambda t: (t.start_ts, t.scooter_id, t.end_ts))
-    return trips
 
-
-def clean_trips(trips: list[RawTrip], rules: CleaningRules) -> tuple[list[Trip], CleaningReport]:
+def clean_trips(trips: TripTable, rules: CleaningRules) -> tuple[TripTable, CleaningReport]:
     """Apply the hours filter then the displacement filter; each trip counts once.
 
     Keeps trips whose displacement lies in [min, max] (inclusive) and whose
@@ -211,14 +238,9 @@ def clean_trips(trips: list[RawTrip], rules: CleaningRules) -> tuple[list[Trip],
     carries the sub-5/10/20 m diagnostic over the raw input.
     """
     report = CleaningReport(input_count=len(trips))
-    if not trips:
-        return [], report
-
-    disp = np.array([t.displacement_m for t in trips], dtype=np.float64)
-    start_s = np.array([int(t.start_ts.timestamp()) for t in trips], dtype=np.int64)
-    end_s = np.array([int(t.end_ts.timestamp()) for t in trips], dtype=np.int64)
-    _, start_min = local_fields(start_s, rules.timezone)
-    _, end_min = local_fields(end_s, rules.timezone)
+    disp = trips.displacement
+    _, start_min = local_fields(trips.start, rules.timezone)
+    _, end_min = local_fields(trips.end, rules.timezone)
 
     lo = rules.day_start.hour * 60 + rules.day_start.minute
     hi = rules.day_end.hour * 60 + rules.day_end.minute
@@ -231,57 +253,82 @@ def clean_trips(trips: list[RawTrip], rules: CleaningRules) -> tuple[list[Trip],
     report.under_10m = int((disp < 10.0).sum())
     report.under_20m = int((disp < 20.0).sum())
 
-    keep = in_hours & in_distance
-    kept = [t for t, k in zip(trips, keep) if k]
+    kept = trips.take(in_hours & in_distance)
     report.kept = len(kept)
     return kept, report
 
 
-def crop_trips(trips: list[Trip], bbox: Bbox) -> tuple[list[Trip], int]:
-    """Keep trips whose origin and destination both lie inside bbox."""
-    kept = [
-        t
-        for t in trips
-        if bbox.contains(t.origin.lat, t.origin.lon) and bbox.contains(t.destination.lat, t.destination.lon)
-    ]
+def crop_trips(trips: TripTable, bbox: Bbox) -> tuple[TripTable, int]:
+    """Keep trips whose origin and destination both lie inside bbox (edges included)."""
+    lo, hi = bbox.min, bbox.max
+    inside = (
+        (trips.origin_lat >= lo.lat) & (trips.origin_lat <= hi.lat)
+        & (trips.origin_lon >= lo.lon) & (trips.origin_lon <= hi.lon)
+        & (trips.dest_lat >= lo.lat) & (trips.dest_lat <= hi.lat)
+        & (trips.dest_lon >= lo.lon) & (trips.dest_lon <= hi.lon)
+    )
+    kept = trips.take(inside)
     return kept, len(trips) - len(kept)
 
 
-def write_trips_csv(trips: Iterable[Trip], path) -> int:
-    n = 0
+def format_epochs(seconds: np.ndarray) -> list[str]:
+    """format_ts of each UTC epoch second; every distinct value is formatted once."""
+    uniq, inverse = np.unique(seconds, return_inverse=True)
+    text = np.array([format_ts(datetime.fromtimestamp(t, timezone.utc)) for t in uniq.tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def repr_floats(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def trip_csv_columns(trips: TripTable) -> list[list[str]]:
+    """The TRIP_CSV_COLUMNS of every row as text, one list per column."""
+    return [
+        list(map(trips.ids.__getitem__, trips.scooter.tolist())),
+        repr_floats(trips.origin_lat),
+        repr_floats(trips.origin_lon),
+        repr_floats(trips.dest_lat),
+        repr_floats(trips.dest_lon),
+        format_epochs(trips.start),
+        format_epochs(trips.end),
+        repr_floats(trips.displacement),
+    ]
+
+
+def write_trips_csv(trips: TripTable, path) -> int:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIP_CSV_COLUMNS)
-        for t in trips:
-            writer.writerow(
-                [
-                    t.scooter_id,
-                    repr(float(t.origin.lat)),
-                    repr(float(t.origin.lon)),
-                    repr(float(t.destination.lat)),
-                    repr(float(t.destination.lon)),
-                    format_ts(t.start_ts),
-                    format_ts(t.end_ts),
-                    repr(float(t.displacement_m)),
-                ]
-            )
-            n += 1
-    return n
+        writer.writerows(zip(*trip_csv_columns(trips)))
+    return len(trips)
 
 
-def read_trips_csv(path) -> list[Trip]:
-    trips = []
+def float_column(records: list[dict], key: str) -> np.ndarray:
+    return np.fromiter((float(row[key]) for row in records), dtype=np.float64, count=len(records))
+
+
+def trip_table_from_records(records: list[dict]) -> TripTable:
+    """A TripTable from parsed trips-CSV rows (the first data row is line 2)."""
+    code_of: dict[str, int] = {}
+    scooter, start, end = [], [], []
+    for line_no, row in enumerate(records, 2):
+        scooter.append(code_of.setdefault(row["scooter_id"], len(code_of)))
+        start.append(int(parse_ts(row["start_ts"], line_no).timestamp()))
+        end.append(int(parse_ts(row["end_ts"], line_no).timestamp()))
+    return TripTable(
+        ids=list(code_of),
+        scooter=np.asarray(scooter, dtype=np.int64),
+        start=np.asarray(start, dtype=np.int64),
+        end=np.asarray(end, dtype=np.int64),
+        origin_lat=float_column(records, "origin_lat"),
+        origin_lon=float_column(records, "origin_lon"),
+        dest_lat=float_column(records, "dest_lat"),
+        dest_lon=float_column(records, "dest_lon"),
+        displacement=float_column(records, "displacement_m"),
+    )
+
+
+def read_trips_csv(path) -> TripTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, 2):
-            trips.append(
-                RawTrip(
-                    scooter_id=row["scooter_id"],
-                    origin=GeoPoint(float(row["origin_lat"]), float(row["origin_lon"])),
-                    destination=GeoPoint(float(row["dest_lat"]), float(row["dest_lon"])),
-                    start_ts=parse_ts(row["start_ts"], i),
-                    end_ts=parse_ts(row["end_ts"], i),
-                    displacement_m=float(row["displacement_m"]),
-                )
-            )
-    return trips
+        return trip_table_from_records(list(csv.DictReader(fh)))

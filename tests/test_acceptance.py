@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scootertrips.assoc import AssociatedTrip, apply_threshold, sensitivity
+from scootertrips.assoc import apply_threshold, sensitivity
 from scootertrips.cli import EXIT_OK, main
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, nearest_k_batch
 from scootertrips.ingest import parse_snapshot_stream
@@ -20,9 +20,9 @@ from scootertrips.poi import MULTIPLE_TYPE, Poi, dedupe_and_merge, generate_buff
 from scootertrips.poi.catalog import BufferRing, BufferSpec
 from scootertrips.purpose import TimeSlot, build_matrix, day_class_predicate, drill_down, slot_predicate
 from scootertrips.synth import ScenarioConfig, generate, score, write_feed
-from scootertrips.trips import CleaningRules, RawTrip, clean_trips, extract_trips
+from scootertrips.trips import CleaningRules, clean_trips, extract_trips
 
-from conftest import CITY, make_trip
+from conftest import CITY, Row, make_trip, rows, table_of
 
 UTC = timezone.utc
 EST = timezone(timedelta(hours=-5))
@@ -74,7 +74,7 @@ def test_criterion_2_cleaning_fidelity(capsys):
     with criterion(2, "cleaning fidelity with planted violations", capsys):
         def planted(start_h, start_m, disp, idx, duration_s=600):
             start = datetime(2019, 2, 4, start_h, start_m, tzinfo=EST).astimezone(UTC)
-            return RawTrip(f"S{idx:04d}", CITY, CITY, start, start + timedelta(seconds=duration_s), disp)
+            return Row(f"S{idx:04d}", CITY, CITY, start, start + timedelta(seconds=duration_s), disp)
 
         trips = []
         # displacement violations planted inside the diagnostic bands
@@ -120,7 +120,8 @@ def test_criterion_2_cleaning_fidelity(capsys):
             valid.append(t)
             idx += 1
 
-        kept, report = clean_trips(trips, CleaningRules())
+        kept, report = clean_trips(table_of(trips), CleaningRules())
+        kept = rows(kept)
         assert set(kept) == set(valid)
         assert set(trips) - set(kept) == removed_expected
         assert report.removed_hours == hours_expected
@@ -252,23 +253,23 @@ def test_criterion_6_sensitivity_and_cutoff(capsys):
         ids = [p.id for p in catalog]
         for corpus in range(10):
             associated = [
-                AssociatedTrip(
-                    make_trip(f"S{i}", start_offset_s=i),
-                    str(rng.choice(ids)),
-                    float(rng.uniform(0, 130)),
-                    str(rng.choice(ids)),
-                    float(rng.uniform(0, 130)),
+                make_trip(f"S{i}", start_offset_s=i)._replace(
+                    origin_poi=str(rng.choice(ids)),
+                    origin_dist_m=float(rng.uniform(0, 130)),
+                    dest_poi=str(rng.choice(ids)),
+                    dest_dist_m=float(rng.uniform(0, 130)),
                 )
                 for i in range(500)
             ]
+            table = table_of(associated)
             thresholds = [0.0, 5.0, 10.0, 20.0, 35.0, 50.0, 75.0, 100.0]
             for endpoint in ("origin", "destination"):
-                table = sensitivity(associated, thresholds, endpoint, catalog, groups=groups)
-                assert (np.diff(table.counts, axis=1) >= 0).all(), "counts not monotone"
-                sums = table.percents.sum(axis=0)
-                totals = table.counts.sum(axis=0)
+                sens = sensitivity(table, thresholds, endpoint, catalog, groups=groups)
+                assert (np.diff(sens.counts, axis=1) >= 0).all(), "counts not monotone"
+                sums = sens.percents.sum(axis=0)
+                totals = sens.counts.sum(axis=0)
                 assert np.all(np.abs(sums[totals > 0] - 100.0) <= 0.1)
-            kept = apply_threshold(associated, 50.0)
+            kept = rows(apply_threshold(table, 50.0))
             brute = [a for a in associated if a.origin_dist_m <= 50.0 and a.dest_dist_m <= 50.0]
             assert kept == brute
 
@@ -302,13 +303,15 @@ def test_criterion_7_matrix_reconciliation(capsys):
             day = int(rng.integers(4, 11))
             minute = int(rng.integers(7 * 60, 21 * 60))
             start_local = datetime(2019, 2, day, minute // 60, minute % 60, tzinfo=EST)
-            trip = RawTrip(
+            trip = Row(
                 f"S{i}", CITY, CITY, start_local.astimezone(UTC),
                 start_local.astimezone(UTC) + timedelta(seconds=300), 400.0,
             )
             trips.append(
-                AssociatedTrip(trip, str(rng.choice(ids)), 5.0, str(rng.choice(ids)), 5.0)
+                trip._replace(origin_poi=str(rng.choice(ids)), origin_dist_m=5.0,
+                              dest_poi=str(rng.choice(ids)), dest_dist_m=5.0)
             )
+        trips = table_of(trips)
         overall = build_matrix(trips, catalog, groups=groups)
         assert overall.total == 10_000
         slot_sum = np.zeros_like(overall.counts)

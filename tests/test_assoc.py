@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scootertrips.assoc import (
-    AssociatedTrip,
     apply_threshold,
     associate,
     catalog_index,
@@ -16,7 +15,7 @@ from scootertrips.errors import EmptyCatalog
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, offset_azimuthal
 from scootertrips.poi import Poi
 
-from conftest import CITY, make_trip
+from conftest import CITY, make_trip, rows, table_of
 
 GROUPS = ["Business", "Food", "Recreation", "Parking"]
 
@@ -33,8 +32,7 @@ def poi(pid, position, group="Food", primary="restaurant"):
 
 
 def assoc_stub(origin_dist, dest_dist, origin_poi="A", dest_poi="B", trip=None):
-    return AssociatedTrip(
-        trip=trip or make_trip(),
+    return (trip or make_trip())._replace(
         origin_poi=origin_poi,
         origin_dist_m=origin_dist,
         dest_poi=dest_poi,
@@ -48,7 +46,7 @@ class TestAssociate:
         b_pos = offset_azimuthal(CITY, 90, 800)
         b = poi("B", offset_azimuthal(b_pos, 0, 5))
         trip = make_trip(origin=CITY, destination=b_pos)
-        out = associate([trip], catalog_index([a, b]))
+        out = rows(associate(table_of([trip]), catalog_index([a, b])))
         assert len(out) == 1
         at = out[0]
         assert at.origin_poi == "A" and at.dest_poi == "B"
@@ -61,7 +59,7 @@ class TestAssociate:
         a = poi("A", CITY)
         c = poi("C", offset_azimuthal(CITY, 270, 30))
         trip = make_trip(origin=offset_azimuthal(CITY, 90, 4), destination=offset_azimuthal(CITY, 90, 8))
-        out = associate([trip], catalog_index([a, c]))
+        out = rows(associate(table_of([trip]), catalog_index([a, c])))
         at = out[0]
         assert at.dest_poi == "A"
         assert at.origin_poi == "C"
@@ -71,7 +69,7 @@ class TestAssociate:
     def test_single_poi_catalog_cannot_reassign(self):
         a = poi("A", CITY)
         trip = make_trip(origin=offset_azimuthal(CITY, 90, 5), destination=offset_azimuthal(CITY, 270, 5))
-        out = associate([trip], catalog_index([a]))
+        out = rows(associate(table_of([trip]), catalog_index([a])))
         at = out[0]
         assert at.origin_poi == at.dest_poi == "A"
         assert at.origin_reassigned is False
@@ -83,16 +81,16 @@ class TestAssociate:
         far = offset_azimuthal(CITY, 90, 900)
         pois = [poi(f"P{i:02d}", shared) for i in range(12, 0, -1)] + [poi("FAR", far)]
         index = catalog_index(pois)
-        (at,) = associate([make_trip(origin=CITY, destination=far)], index)
+        (at,) = rows(associate(table_of([make_trip(origin=CITY, destination=far)]), index))
         assert (at.origin_poi, at.dest_poi, at.origin_reassigned) == ("P01", "FAR", False)
         assert at.origin_dist_m == pytest.approx(30.0, rel=1e-3)
         # both endpoints at the tied point: destination keeps P01, origin moves to P02
-        (at,) = associate([make_trip(origin=CITY, destination=offset_azimuthal(shared, 0, 2))], index)
+        (at,) = rows(associate(table_of([make_trip(origin=CITY, destination=offset_azimuthal(shared, 0, 2))]), index))
         assert (at.origin_poi, at.dest_poi, at.origin_reassigned) == ("P02", "P01", True)
 
     def test_empty_catalog(self):
         with pytest.raises(EmptyCatalog):
-            associate([make_trip()], build_spatial_index([]))
+            associate(table_of([make_trip()]), build_spatial_index([]))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(23)
@@ -109,7 +107,7 @@ class TestAssociate:
             )
             for i in range(300)
         ]
-        got = associate(trips, catalog_index(pois))
+        got = rows(associate(table_of(trips), catalog_index(pois)))
 
         def nearest2(point):
             scored = sorted((haversine_m(point, p.position), p.id) for p in pois)
@@ -140,7 +138,7 @@ class TestAssociate:
             )
             for i in range(50)
         ]
-        for at in associate(trips, catalog_index(pois)):
+        for at in rows(associate(table_of(trips), catalog_index(pois))):
             assert at.origin_poi != at.dest_poi
 
 
@@ -150,18 +148,22 @@ class TestSensitivity:
 
     def test_direct_counting(self):
         associated = [assoc_stub(0, d, dest_poi="A") for d in (10.0, 40.0, 60.0)]
-        table = sensitivity(associated, [25.0, 50.0, 75.0], "destination", self.catalog(), groups=["Food", "Parking"])
+        table = sensitivity(
+            table_of(associated), [25.0, 50.0, 75.0], "destination", self.catalog(), groups=["Food", "Parking"]
+        )
         row = table.counts[table.groups.index("Food")]
         assert row.tolist() == [1, 2, 3]
 
     def test_empty_association_list(self):
-        table = sensitivity([], [25.0, 50.0], "origin", self.catalog(), groups=["Food", "Parking"])
+        table = sensitivity(table_of([]), [25.0, 50.0], "origin", self.catalog(), groups=["Food", "Parking"])
         assert table.counts.sum() == 0
         assert table.percents.sum() == 0
 
     def test_two_equal_groups_split_percent(self):
         associated = [assoc_stub(0, 10.0, dest_poi="A"), assoc_stub(0, 12.0, dest_poi="B")]
-        table = sensitivity(associated, [25.0, 50.0], "destination", self.catalog(), groups=["Food", "Parking"])
+        table = sensitivity(
+            table_of(associated), [25.0, 50.0], "destination", self.catalog(), groups=["Food", "Parking"]
+        )
         assert np.allclose(table.percents[:, 0].max(), 50.0)
         assert np.allclose(table.percents.sum(axis=0), 100.0)
 
@@ -173,7 +175,7 @@ class TestSensitivity:
             for _ in range(200)
         ]
         thresholds = [0.0, 10.0, 25.0, 50.0, 75.0, 100.0]
-        table = sensitivity(associated, thresholds, "destination", cat, groups=["Food", "Parking"])
+        table = sensitivity(table_of(associated), thresholds, "destination", cat, groups=["Food", "Parking"])
         diffs = np.diff(table.counts, axis=1)
         assert (diffs >= 0).all()
         sums = table.percents.sum(axis=0)
@@ -182,7 +184,7 @@ class TestSensitivity:
 
     def test_endpoint_origin_uses_origin_distance(self):
         associated = [assoc_stub(10.0, 500.0, origin_poi="A", dest_poi="B")]
-        table = sensitivity(associated, [25.0], "origin", self.catalog(), groups=["Food", "Parking"])
+        table = sensitivity(table_of(associated), [25.0], "origin", self.catalog(), groups=["Food", "Parking"])
         assert table.counts[table.groups.index("Food"), 0] == 1
 
 
@@ -190,25 +192,15 @@ class TestApplyThreshold:
     def test_both_endpoints_rule(self):
         keep = assoc_stub(49.0, 50.0)
         drop = assoc_stub(49.0, 51.0)
-        assert apply_threshold([keep, drop], 50.0) == [keep]
+        assert rows(apply_threshold(table_of([keep, drop]), 50.0)) == [keep]
 
     def test_boundary_inclusive(self):
         edge = assoc_stub(50.0, 50.0)
-        assert apply_threshold([edge], 50.0) == [edge]
+        assert rows(apply_threshold(table_of([edge]), 50.0)) == [edge]
 
     def test_infinite_cutoff_is_identity(self):
         items = [assoc_stub(1e5, 1e5), assoc_stub(0.0, 0.0)]
-        assert apply_threshold(items, float("inf")) == items
-
-    def test_single_endpoint_modes(self):
-        near_origin = assoc_stub(10.0, 90.0)
-        near_dest = assoc_stub(90.0, 10.0)
-        items = [near_origin, near_dest]
-        assert apply_threshold(items, 50.0, endpoint="origin") == [near_origin]
-        assert apply_threshold(items, 50.0, endpoint="destination") == [near_dest]
-        assert apply_threshold(items, 50.0) == []
-        with pytest.raises(ValueError):
-            apply_threshold(items, 50.0, endpoint="midpoint")
+        assert rows(apply_threshold(table_of(items), float("inf"))) == items
 
     @given(
         dists=st.lists(st.tuples(st.floats(0, 200), st.floats(0, 200)), max_size=30),
@@ -217,18 +209,58 @@ class TestApplyThreshold:
     )
     @settings(max_examples=50, deadline=None)
     def test_idempotent_and_nested_cutoffs(self, dists, c1, c2):
-        items = [assoc_stub(o, d) for o, d in dists]
+        items = table_of([assoc_stub(o, d) for o, d in dists])
         once = apply_threshold(items, c1)
-        assert apply_threshold(once, c1) == once
+        assert rows(apply_threshold(once, c1)) == rows(once)
         nested = apply_threshold(apply_threshold(items, c1), c2)
-        assert nested == apply_threshold(items, min(c1, c2))
+        assert rows(nested) == rows(apply_threshold(items, min(c1, c2)))
 
 
 def test_assoc_csv_round_trip(tmp_path):
     items = [
         assoc_stub(10.5, 20.25, origin_poi="A", dest_poi="B", trip=make_trip("S1")),
-        AssociatedTrip(make_trip("S2"), "C", 1.0, "D", 2.0, origin_reassigned=True),
+        make_trip("S2")._replace(
+            origin_poi="C", origin_dist_m=1.0, dest_poi="D", dest_dist_m=2.0, origin_reassigned=True
+        ),
     ]
     path = tmp_path / "assoc.csv"
-    write_associated_csv(items, path)
-    assert read_associated_csv(path) == items
+    write_associated_csv(table_of(items), path)
+    assert rows(read_associated_csv(path)) == items
+
+
+_EDGES = [0.0, 25.0, 50.0]  # distances drawn on a threshold exercise the inclusive edge
+
+
+@given(
+    trips=st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B", "C"]),
+            st.one_of(st.floats(0, 130), st.sampled_from(_EDGES)),
+            st.sampled_from(["A", "B", "C"]),
+            st.one_of(st.floats(0, 130), st.sampled_from(_EDGES)),
+        ),
+        max_size=60,
+    ),
+    thresholds=st.lists(st.one_of(st.floats(0, 120), st.sampled_from(_EDGES)), max_size=6).map(sorted),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_sensitivity_matches_per_row_count(trips, thresholds):
+    catalog = [poi("A", CITY, group="Food"), poi("B", CITY, group="Parking"), poi("C", CITY, group="Food")]
+    group_of = {p.id: p.group for p in catalog}
+    table = table_of(
+        make_trip(f"S{i}", start_offset_s=i)._replace(origin_poi=o, origin_dist_m=od, dest_poi=d, dest_dist_m=dd)
+        for i, (o, od, d, dd) in enumerate(trips)
+    )
+    for endpoint in ("origin", "destination"):
+        got = sensitivity(table, thresholds, endpoint, catalog, groups=GROUPS)
+        want = np.zeros((len(GROUPS), len(thresholds)), dtype=np.int64)
+        for o, od, d, dd in trips:
+            pid, dist = (o, od) if endpoint == "origin" else (d, dd)
+            for ti, t in enumerate(thresholds):
+                if dist <= t:
+                    want[GROUPS.index(group_of[pid]), ti] += 1
+        assert got.counts.tolist() == want.tolist()
+        totals = want.sum(axis=0)
+        for ti, total in enumerate(totals):
+            expect = want[:, ti] / total * 100.0 if total else np.zeros(len(GROUPS))
+            assert got.percents[:, ti] == pytest.approx(expect)

@@ -256,3 +256,41 @@ def test_config_rejects_a_second_timezone(tmp_path):
         load_config(path)
     path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/Chicago"}}))
     assert load_config(path)[0].cleaning.timezone == "America/Chicago"
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "run"
+    assert main(["run", "--config", str(DEMO / "config.json"), "--out-dir", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Business", "Busines:Nothing"])
+def test_report_rejects_bad_drill_spec(demo_run, tmp_path, capsys, caplog, spec):
+    out = tmp_path / "report"
+    code = main([
+        "report", "--assoc", str(demo_run / "assoc_within_cutoff.csv"), "--catalog", str(demo_run / "catalog.json"),
+        "--drill", "Business:Business", "--drill", spec, "--out", str(out),
+    ])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: drilldown {spec!r}")
+    assert "Traceback" not in caplog.text
+    assert not out.exists()  # checked before anything is written
+
+
+@pytest.mark.parametrize("spec, failed_stage", [("Business", None), ("Busines:Nothing", "report")])
+def test_run_rejects_bad_drill_spec(tmp_path, capsys, caplog, spec, failed_stage):
+    config = json.loads((DEMO / "config.json").read_text())
+    config["paths"] = {key: str(DEMO / path) for key, path in config["paths"].items()}
+    config["drilldowns"] = [spec]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
+    assert f"drilldown {spec!r}" in capsys.readouterr().err
+    assert "Traceback" not in caplog.text
+    if failed_stage is None:  # rejected with the config, before any stage
+        assert not out.exists()
+    else:
+        assert json.loads((out / "manifest.json").read_text())["failed_stage"] == failed_stage
+        assert not list(out.glob("drill_*.csv"))

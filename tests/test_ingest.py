@@ -16,7 +16,7 @@ from scootertrips.ingest import (
 )
 from scootertrips.trips import extract_trips
 
-from conftest import batch, obs
+from conftest import batch, obs, rows
 
 STUDY = Bbox(GeoPoint(33.748379, -84.405623), GeoPoint(33.789279, -84.359615))
 
@@ -422,6 +422,6 @@ def test_jsonl_and_csv_feeds_agree(data, pad):
     write_snapshot_stream(batches, csv_text, "csv", null_fill_to=pad)
     from_jsonl = parse_snapshot_stream(io.StringIO(jsonl.getvalue()), "jsonl")
     from_csv = parse_snapshot_stream(io.StringIO(csv_text.getvalue()), "csv")
-    assert extract_trips(from_jsonl) == extract_trips(from_csv)
+    assert rows(extract_trips(from_jsonl)) == rows(extract_trips(from_csv))
     assert from_jsonl.stats == from_csv.stats
     assert from_jsonl.stats.input_records == sum(max(len(rows), pad) for rows in data)

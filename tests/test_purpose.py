@@ -2,23 +2,21 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scootertrips.assoc import AssociatedTrip
 from scootertrips.errors import DanglingPoiReference, OutOfOperatingHours
+from scootertrips.pipeline import write_report
 from scootertrips.poi import Poi
 from scootertrips.purpose import (
     TimeSlot,
     build_matrix,
-    classify_slot,
-    day_class,
     day_class_predicate,
     drill_down,
-    slot_of_trip,
     slot_predicate,
 )
-from scootertrips.trips import RawTrip
 
-from conftest import CITY, make_trip
+from conftest import CITY, Row, table_of
 
 UTC = timezone.utc
 EST = timezone(timedelta(hours=-5))
@@ -40,13 +38,27 @@ CATALOG = [
 ]
 
 
-def trip_starting(local_dt: datetime) -> RawTrip:
+def trip_starting(local_dt: datetime) -> Row:
     start = local_dt.replace(tzinfo=EST).astimezone(UTC)
-    return RawTrip("S", CITY, CITY, start, start + timedelta(seconds=600), 500.0)
+    return Row("S", CITY, CITY, start, start + timedelta(seconds=600), 500.0)
 
 
 def assoc(origin_poi, dest_poi, local_dt=datetime(2019, 2, 4, 12, 0)):
-    return AssociatedTrip(trip_starting(local_dt), origin_poi, 5.0, dest_poi, 5.0)
+    trip = trip_starting(local_dt)
+    return trip._replace(origin_poi=origin_poi, origin_dist_m=5.0, dest_poi=dest_poi, dest_dist_m=5.0)
+
+
+def classify_slot(local_dt: datetime) -> TimeSlot:
+    """The one slot whose predicate selects a trip starting at local_dt (EST)."""
+    table = table_of([assoc("biz1", "biz1", local_dt)])
+    (slot,) = [s for s in TimeSlot if slot_predicate(s)(table)[0]]
+    return slot
+
+
+def day_class(trip: Row) -> str:
+    table = table_of([trip])
+    (cls,) = [c for c in ("weekday", "weekend") if day_class_predicate(c)(table)[0]]
+    return cls
 
 
 class TestClassifySlot:
@@ -80,7 +92,8 @@ class TestClassifySlot:
 
     def test_slot_of_trip_uses_local_start(self):
         trip = trip_starting(datetime(2019, 2, 4, 9, 30))
-        assert slot_of_trip(trip) is TimeSlot.MORNING
+        assert trip.start_ts.hour == 14  # UTC
+        assert slot_predicate(TimeSlot.MORNING)(table_of([trip])).tolist() == [True]
 
 
 class TestDayClass:
@@ -94,20 +107,20 @@ class TestDayClass:
 class TestBuildMatrix:
     def test_direct_counts(self):
         trips = [assoc("biz1", "food1"), assoc("biz2", "food1"), assoc("park1", "biz1")]
-        m = build_matrix(trips, CATALOG, groups=GROUPS)
+        m = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
         assert m.cell("Business", "Food") == 2
         assert m.cell("Parking", "Business") == 1
         assert m.total == 3
 
     def test_empty_matrix(self):
-        m = build_matrix([], CATALOG, groups=GROUPS)
+        m = build_matrix(table_of([]), CATALOG, groups=GROUPS)
         assert m.total == 0
 
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(17)
         ids = [p.id for p in CATALOG]
         trips = [assoc(str(rng.choice(ids)), str(rng.choice(ids))) for _ in range(1000)]
-        m = build_matrix(trips, CATALOG, groups=GROUPS)
+        m = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
         by_id = {p.id: p.group for p in CATALOG}
         oracle: dict[tuple[str, str], int] = {}
         for a in trips:
@@ -119,17 +132,20 @@ class TestBuildMatrix:
 
     def test_dangling_poi_reference(self):
         with pytest.raises(DanglingPoiReference):
-            build_matrix([assoc("missing", "food1")], CATALOG, groups=GROUPS)
+            build_matrix(table_of([assoc("missing", "food1")]), CATALOG, groups=GROUPS)
 
     def test_reversed_corpus_transposes(self):
         rng = np.random.default_rng(3)
         ids = [p.id for p in CATALOG]
         trips = [assoc(str(rng.choice(ids)), str(rng.choice(ids))) for _ in range(300)]
         reversed_trips = [
-            AssociatedTrip(a.trip, a.dest_poi, a.dest_dist_m, a.origin_poi, a.origin_dist_m) for a in trips
+            a._replace(
+                origin_poi=a.dest_poi, origin_dist_m=a.dest_dist_m, dest_poi=a.origin_poi, dest_dist_m=a.origin_dist_m
+            )
+            for a in trips
         ]
-        m = build_matrix(trips, CATALOG, groups=GROUPS)
-        mr = build_matrix(reversed_trips, CATALOG, groups=GROUPS)
+        m = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
+        mr = build_matrix(table_of(reversed_trips), CATALOG, groups=GROUPS)
         assert np.array_equal(m.counts.T, mr.counts)
 
     def test_slot_slices_sum_to_overall(self):
@@ -141,10 +157,10 @@ class TestBuildMatrix:
             trips.append(
                 assoc(str(rng.choice(ids)), str(rng.choice(ids)), datetime(2019, 2, 4, minute // 60, minute % 60))
             )
-        overall = build_matrix(trips, CATALOG, groups=GROUPS)
+        overall = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
         total = np.zeros_like(overall.counts)
         for slot in TimeSlot:
-            total += build_matrix(trips, CATALOG, slice=slot_predicate(slot), groups=GROUPS).counts
+            total += build_matrix(table_of(trips), CATALOG, slice=slot_predicate(slot), groups=GROUPS).counts
         assert np.array_equal(total, overall.counts)
 
     def test_daytype_slices_sum_to_overall(self):
@@ -154,33 +170,76 @@ class TestBuildMatrix:
         for _ in range(300):
             day = int(rng.integers(4, 11))  # Feb 4-10 2019: Mon..Sun
             trips.append(assoc(str(rng.choice(ids)), str(rng.choice(ids)), datetime(2019, 2, day, 12, 0)))
-        overall = build_matrix(trips, CATALOG, groups=GROUPS)
-        wk = build_matrix(trips, CATALOG, slice=day_class_predicate("weekday"), groups=GROUPS)
-        we = build_matrix(trips, CATALOG, slice=day_class_predicate("weekend"), groups=GROUPS)
+        overall = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
+        wk = build_matrix(table_of(trips), CATALOG, slice=day_class_predicate("weekday"), groups=GROUPS)
+        we = build_matrix(table_of(trips), CATALOG, slice=day_class_predicate("weekend"), groups=GROUPS)
         assert np.array_equal(wk.counts + we.counts, overall.counts)
 
 
 class TestDrillDown:
     def test_primary_type_pairs(self):
         trips = [assoc("biz1", "biz2")] * 3 + [assoc("biz1", "food1")]
-        drill = drill_down(trips, CATALOG, "Business", "Business")
+        drill = drill_down(table_of(trips), CATALOG, "Business", "Business")
         assert drill.counts == {("lawyer", "real_estate_agency"): 3}
 
     def test_empty_cell(self):
-        drill = drill_down([], CATALOG, "Business", "Business")
+        drill = drill_down(table_of([]), CATALOG, "Business", "Business")
         assert drill.counts == {}
 
     def test_totals_reconcile_with_matrix_cell(self):
         rng = np.random.default_rng(41)
         ids = [p.id for p in CATALOG]
         trips = [assoc(str(rng.choice(ids)), str(rng.choice(ids))) for _ in range(500)]
-        m = build_matrix(trips, CATALOG, groups=GROUPS)
+        m = build_matrix(table_of(trips), CATALOG, groups=GROUPS)
         for og in GROUPS:
             for dg in GROUPS:
-                drill = drill_down(trips, CATALOG, og, dg)
+                drill = drill_down(table_of(trips), CATALOG, og, dg)
                 assert drill.total == m.cell(og, dg)
 
     def test_multiple_contributes_own_row(self):
         trips = [assoc("multi1", "biz1")]
-        drill = drill_down(trips, CATALOG, "Multiple", "Business")
+        drill = drill_down(table_of(trips), CATALOG, "Multiple", "Business")
         assert drill.counts == {("multiple", "lawyer"): 1}
+
+
+@given(
+    trips=st.lists(
+        st.tuples(
+            st.sampled_from([p.id for p in CATALOG]),
+            st.sampled_from([p.id for p in CATALOG]),
+            st.integers(4, 10),  # Feb 4-10 2019: Mon..Sun
+            st.integers(7 * 60, 21 * 60 - 1),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_matrices_match_per_row_count(trips):
+    table = table_of(assoc(o, d, datetime(2019, 2, day, minute // 60, minute % 60)) for o, d, day, minute in trips)
+    group_of = {p.id: p.group for p in CATALOG}
+    slices = [(None, lambda day, minute: True)]
+    slices += [(slot_predicate(s), lambda day, minute, s=s: s.start_minute <= minute < s.end_minute) for s in TimeSlot]
+    slices += [
+        (day_class_predicate("weekday"), lambda day, minute: datetime(2019, 2, day).weekday() < 5),
+        (day_class_predicate("weekend"), lambda day, minute: datetime(2019, 2, day).weekday() >= 5),
+    ]
+    for predicate, selects in slices:
+        want = np.zeros((len(GROUPS), len(GROUPS)), dtype=np.int64)
+        for o, d, day, minute in trips:
+            if selects(day, minute):
+                want[GROUPS.index(group_of[o]), GROUPS.index(group_of[d])] += 1
+        assert build_matrix(table, CATALOG, groups=GROUPS, slice=predicate).counts.tolist() == want.tolist()
+    types_of = {p.id: p.primary_type for p in CATALOG}
+    want_drill: dict = {}
+    for o, d, _, _ in trips:
+        if group_of[o] == "Business" and group_of[d] == "Food":
+            key = (types_of[o], types_of[d])
+            want_drill[key] = want_drill.get(key, 0) + 1
+    assert drill_down(table, CATALOG, "Business", "Food").counts == want_drill
+
+
+def test_report_rejects_trip_outside_operating_hours(tmp_path):
+    # a wider cleaning window can let a 06:30 start through the cutoff; it has no slot
+    within = table_of([assoc("biz1", "food1"), assoc("biz1", "food1", datetime(2019, 2, 4, 6, 30))])
+    with pytest.raises(OutOfOperatingHours, match="06:30"):
+        write_report(within, CATALOG, GROUPS, "America/New_York", [], tmp_path)

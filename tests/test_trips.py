@@ -1,14 +1,15 @@
+import csv
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scootertrips.errors import InvalidConfig
+from scootertrips.errors import InvalidConfig, MalformedRecord
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from scootertrips.trips import (
     CleaningRules,
-    RawTrip,
     clean_trips,
     crop_trips,
     extract_trips,
@@ -16,7 +17,7 @@ from scootertrips.trips import (
     write_trips_csv,
 )
 
-from conftest import BASE_TS, CITY, batch, make_trip, obs
+from conftest import BASE_TS, CITY, Row, batch, make_trip, obs, rows, table_of
 
 UTC = timezone.utc
 B500 = offset_azimuthal(CITY, 90.0, 500.0)
@@ -30,7 +31,7 @@ class TestExtraction:
             batch(1200, []),
             batch(1800, [obs("S", B500)]),
         ]
-        trips = extract_trips(feed)
+        trips = rows(extract_trips(feed))
         assert len(trips) == 1
         t = trips[0]
         assert t.start_ts == BASE_TS + timedelta(seconds=600)  # last seen at origin
@@ -41,23 +42,23 @@ class TestExtraction:
 
     def test_consecutive_move_without_absence(self):
         feed = [batch(0, [obs("S", CITY)]), batch(600, [obs("S", B500)])]
-        trips = extract_trips(feed)
+        trips = rows(extract_trips(feed))
         assert len(trips) == 1
         assert trips[0].start_ts == BASE_TS
         assert trips[0].end_ts == BASE_TS + timedelta(seconds=600)
 
     def test_stationary_scooter_yields_nothing(self):
         feed = [batch(i * 600, [obs("S", CITY)]) for i in range(20)]
-        assert extract_trips(feed) == []
+        assert rows(extract_trips(feed)) == []
 
     def test_reappearance_at_same_position_yields_nothing(self):
         feed = [batch(0, [obs("S", CITY)]), batch(600, []), batch(1200, [obs("S", CITY)])]
-        assert extract_trips(feed) == []
+        assert rows(extract_trips(feed)) == []
 
     def test_sub_epsilon_wobble_ignored(self):
         near = offset_azimuthal(CITY, 45.0, 0.5)
         feed = [batch(0, [obs("S", CITY)]), batch(600, [obs("S", near)])]
-        assert extract_trips(feed) == []
+        assert rows(extract_trips(feed)) == []
 
     def test_midnight_cut_suppresses_trip(self):
         # 23:50 local Feb 4 -> 00:00 local Feb 5 (EST = UTC-5)
@@ -66,7 +67,7 @@ class TestExtraction:
             batch(0, [obs("S", CITY)], base=late),
             batch(600, [obs("S", B500)], base=late),
         ]
-        assert extract_trips(feed) == []
+        assert rows(extract_trips(feed)) == []
 
     def test_independent_scooters(self):
         other = offset_azimuthal(CITY, 180.0, 900.0)
@@ -75,7 +76,7 @@ class TestExtraction:
             batch(600, [obs("S1", B500), obs("S2", other)]),
             batch(1200, [obs("S1", B500), obs("S2", CITY)]),
         ]
-        trips = extract_trips(feed)
+        trips = rows(extract_trips(feed))
         assert sorted(t.scooter_id for t in trips) == ["S1", "S2"]
 
     def test_trips_never_overlap_per_scooter(self):
@@ -84,7 +85,7 @@ class TestExtraction:
         for i, p in enumerate(pts):
             feed.append(batch(i * 1200, [obs("S", p)]))
             feed.append(batch(i * 1200 + 600, [obs("S", p)]))
-        trips = extract_trips(feed)
+        trips = rows(extract_trips(feed))
         assert len(trips) == 3
         for prev, cur in zip(trips, trips[1:]):
             assert prev.end_ts <= cur.start_ts
@@ -96,12 +97,12 @@ class TestExtraction:
             batch(1200, [obs("S", B500)]),
         ]
         positions = {(b.ts, o.scooter_id): o.position for b in feed for o in b.observations}
-        for t in extract_trips(feed):
+        for t in rows(extract_trips(feed)):
             assert positions[(t.start_ts, t.scooter_id)] == t.origin
             assert positions[(t.end_ts, t.scooter_id)] == t.destination
 
     def test_empty_input(self):
-        assert extract_trips([]) == []
+        assert rows(extract_trips([])) == []
 
 
 class TestCleaning:
@@ -111,35 +112,37 @@ class TestCleaning:
 
     def trip_at(self, start_h, start_m=0, disp=500.0, duration_s=600):
         start = self.local(start_h, start_m)
-        return RawTrip("S", CITY, B500, start, start + timedelta(seconds=duration_s), disp)
+        return Row("S", CITY, B500, start, start + timedelta(seconds=duration_s), disp)
 
     def test_under_75_removed(self):
-        kept, report = clean_trips([self.trip_at(12, disp=50.0)], CleaningRules())
-        assert kept == [] and report.removed_distance == 1
+        kept, report = clean_trips(table_of([self.trip_at(12, disp=50.0)]), CleaningRules())
+        assert rows(kept) == [] and report.removed_distance == 1
 
     def test_75_exactly_kept(self):
-        kept, _ = clean_trips([self.trip_at(12, disp=75.0)], CleaningRules())
+        kept, _ = clean_trips(table_of([self.trip_at(12, disp=75.0)]), CleaningRules())
         assert len(kept) == 1
 
     def test_3000_exactly_kept_3001_removed(self):
-        kept, report = clean_trips([self.trip_at(12, disp=3000.0), self.trip_at(13, disp=3000.1)], CleaningRules())
+        kept, report = clean_trips(
+            table_of([self.trip_at(12, disp=3000.0), self.trip_at(13, disp=3000.1)]), CleaningRules()
+        )
         assert len(kept) == 1 and report.removed_distance == 1
 
     def test_start_before_7am_removed(self):
-        kept, report = clean_trips([self.trip_at(6, 50)], CleaningRules())
-        assert kept == [] and report.removed_hours == 1
+        kept, report = clean_trips(table_of([self.trip_at(6, 50)]), CleaningRules())
+        assert rows(kept) == [] and report.removed_hours == 1
 
     def test_7am_start_kept_9pm_end_removed(self):
         at_7 = self.trip_at(7, 0)
         ends_21 = self.trip_at(20, 50, duration_s=600)  # ends exactly 21:00
-        kept, report = clean_trips([at_7, ends_21], CleaningRules())
-        assert kept == [at_7]
+        kept, report = clean_trips(table_of([at_7, ends_21]), CleaningRules())
+        assert rows(kept) == [at_7]
         assert report.removed_hours == 1
 
     def test_hours_counted_before_distance(self):
         # violates both; must count under the hours rule only
         bad = self.trip_at(6, 30, disp=10.0)
-        _, report = clean_trips([bad], CleaningRules())
+        _, report = clean_trips(table_of([bad]), CleaningRules())
         assert report.removed_hours == 1 and report.removed_distance == 0
 
     def test_histogram_counts_raw_input(self):
@@ -149,7 +152,7 @@ class TestCleaning:
             self.trip_at(13, disp=15.0),
             self.trip_at(14, disp=500.0),
         ]
-        _, report = clean_trips(trips, CleaningRules())
+        _, report = clean_trips(table_of(trips), CleaningRules())
         assert (report.under_5m, report.under_10m, report.under_20m) == (1, 2, 3)
 
     def test_partition_and_idempotence(self):
@@ -160,10 +163,10 @@ class TestCleaning:
             self.trip_at(15, disp=3200.0),
             self.trip_at(20, disp=100.0),
         ]
-        kept, report = clean_trips(trips, CleaningRules())
+        kept, report = clean_trips(table_of(trips), CleaningRules())
         assert len(kept) + report.removed_hours + report.removed_distance == len(trips)
         again, report2 = clean_trips(kept, CleaningRules())
-        assert again == kept
+        assert rows(again) == rows(kept)
         assert report2.removed_hours == 0 and report2.removed_distance == 0
 
     def test_invalid_rules(self):
@@ -178,8 +181,8 @@ class TestCrop:
         bbox = Bbox(GeoPoint(33.76, -84.40), GeoPoint(33.78, -84.38))
         inside = make_trip(origin=GeoPoint(33.77, -84.39), destination=GeoPoint(33.775, -84.385))
         out_dest = make_trip(origin=GeoPoint(33.77, -84.39), destination=GeoPoint(33.80, -84.39))
-        kept, removed = crop_trips([inside, out_dest], bbox)
-        assert kept == [inside] and removed == 1
+        kept, removed = crop_trips(table_of([inside, out_dest]), bbox)
+        assert rows(kept) == [inside] and removed == 1
 
 
 def test_trips_csv_round_trip(tmp_path):
@@ -188,8 +191,22 @@ def test_trips_csv_round_trip(tmp_path):
         make_trip("S2", B500, CITY, 1200, 1800),
     ]
     path = tmp_path / "trips.csv"
-    write_trips_csv(trips, path)
-    assert read_trips_csv(path) == trips
+    write_trips_csv(table_of(trips), path)
+    assert rows(read_trips_csv(path)) == trips
+
+
+def test_trips_csv_bad_timestamp_reports_its_line(tmp_path):
+    path = tmp_path / "trips.csv"
+    write_trips_csv(table_of([make_trip("S1"), make_trip("S2"), make_trip("S3")]), path)
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    lines[2][6] = "later-junk"  # line 3: end_ts
+    lines[3][5] = "not-a-time"  # line 4: start_ts
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    with pytest.raises(MalformedRecord) as err:
+        read_trips_csv(path)
+    assert err.value.line_no == 3 and "later-junk" in err.value.reason
 
 
 _SPOTS = [CITY, B500, offset_azimuthal(CITY, 0.0, 800.0), offset_azimuthal(CITY, 0.0, 0.5)]
@@ -210,4 +227,53 @@ def test_record_order_within_batch_does_not_matter(feed, data):
         batch(i * 600, data.draw(st.permutations([obs(sid, p) for sid, p in rows.items()])))
         for i, rows in enumerate(feed)
     ]
-    assert extract_trips(shuffled) == extract_trips(batches)
+    assert rows(extract_trips(shuffled)) == rows(extract_trips(batches))
+
+
+def reference_extract(feed, tz_name="America/New_York", eps_m=1.0):
+    """Per-scooter Python reference: consecutive sightings on one local day
+    that moved more than eps_m, sorted by (start, scooter id, end)."""
+    tz = ZoneInfo(tz_name)
+    last = {}
+    out = []
+    for b in feed:
+        day = b.ts.astimezone(tz).date()
+        for o in b.observations:
+            prev = last.get(o.scooter_id)
+            if prev is not None and prev[2] == day:
+                moved = haversine_m(prev[1], o.position)
+                if moved > eps_m:
+                    out.append(Row(o.scooter_id, prev[1], o.position, prev[0], b.ts, moved))
+            last[o.scooter_id] = (b.ts, o.position, day)
+    return sorted(out, key=lambda t: (t.start_ts, t.scooter_id, t.end_ts))
+
+
+# first sighting order differs from string order: "S10" < "S9", "B" < "a" < "b"
+_IDS = ["S9", "S10", "S100", "S1", "b", "a", "B", "s1"]
+
+
+@given(
+    feed=st.lists(
+        st.tuples(
+            st.sampled_from([300, 600, 3600]),
+            st.dictionaries(st.sampled_from(_IDS), st.sampled_from(_SPOTS), max_size=len(_IDS)),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    late=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_extract_matches_per_pair_reference(feed, late, data):
+    # a late start puts local midnight inside the feed
+    base = datetime(2019, 2, 5, 4, 10, tzinfo=UTC) if late else BASE_TS
+    batches, offset = [], 0
+    for gap, seen in feed:
+        offset += gap
+        ordered = data.draw(st.permutations(sorted(seen)))
+        batches.append(batch(offset, [obs(sid, seen[sid]) for sid in ordered], base=base))
+    got = rows(extract_trips(batches))
+    want = reference_extract(batches)
+    assert [t[:5] for t in got] == [t[:5] for t in want]
+    assert [t.displacement_m for t in got] == pytest.approx([t.displacement_m for t in want], rel=1e-9)
