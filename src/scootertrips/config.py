@@ -8,9 +8,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint
+from .ingest import FORMATS
 from .trips import CleaningRules, DEFAULT_TIMEZONE
 
 CONFIG_VERSION = 1
@@ -26,37 +28,49 @@ def parse_bbox(spec) -> Bbox:
     """Accept 'minlat,minlon,maxlat,maxlon' or a {min_lat,...} mapping."""
     if isinstance(spec, Bbox):
         return spec
-    if isinstance(spec, str):
-        parts = [float(x) for x in spec.split(",")]
-        if len(parts) != 4:
-            raise InvalidConfig(f"bbox must have 4 comma-separated numbers, got {spec!r}")
-        return Bbox(GeoPoint(parts[0], parts[1]), GeoPoint(parts[2], parts[3]))
-    if isinstance(spec, dict):
-        return Bbox(
-            GeoPoint(float(spec["min_lat"]), float(spec["min_lon"])),
-            GeoPoint(float(spec["max_lat"]), float(spec["max_lon"])),
-        )
-    raise InvalidConfig(f"unsupported bbox spec: {spec!r}")
+    try:
+        if isinstance(spec, str):
+            parts = [float(x) for x in spec.split(",")]
+        elif isinstance(spec, dict):
+            parts = [float(spec[key]) for key in ("min_lat", "min_lon", "max_lat", "max_lon")]
+        else:
+            parts = []
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bbox {spec!r} does not give 4 numbers: {exc!r}") from None
+    if len(parts) != 4:
+        raise InvalidConfig(f"bbox must be 4 comma-separated numbers or a min_lat/min_lon/max_lat/max_lon object, got {spec!r}")
+    return Bbox(GeoPoint(parts[0], parts[1]), GeoPoint(parts[2], parts[3]))
 
 
 def parse_thresholds(spec) -> list[float]:
     """Accept 'start:stop:step' (stop inclusive) or a comma list."""
-    if isinstance(spec, (list, tuple)):
-        out = [float(x) for x in spec]
-    elif ":" in str(spec):
-        start, stop, step = (float(x) for x in str(spec).split(":"))
-        if step <= 0 or stop < start:
-            raise InvalidConfig(f"bad threshold range {spec!r}")
-        out = []
-        t = start
-        while t <= stop + 1e-9:
-            out.append(round(t, 9))
-            t += step
-    else:
-        out = [float(x) for x in str(spec).split(",")]
+    try:
+        if isinstance(spec, (list, tuple)):
+            out = [float(x) for x in spec]
+        elif ":" in str(spec):
+            start, stop, step = (float(x) for x in str(spec).split(":"))
+            if step <= 0 or stop < start:
+                raise InvalidConfig(f"bad threshold range {spec!r}")
+            out = []
+            t = start
+            while t <= stop + 1e-9:
+                out.append(round(t, 9))
+                t += step
+        else:
+            out = [float(x) for x in str(spec).split(",")]
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"thresholds {spec!r} are not 'start:stop:step' or a list of numbers: {exc!r}") from None
     if sorted(out) != out or any(t < 0 for t in out):
         raise InvalidConfig("thresholds must be ascending and non-negative")
     return out
+
+
+def check_timezone(name, key: str = "timezone") -> None:
+    """Raise InvalidConfig naming key unless zoneinfo knows name as an IANA zone."""
+    try:
+        ZoneInfo(name)
+    except (TypeError, ValueError, ZoneInfoNotFoundError):
+        raise InvalidConfig(f"{key} {name!r} is not a known IANA time zone") from None
 
 
 def parse_drill_spec(spec: str, groups=None) -> tuple[str, str]:
@@ -106,6 +120,9 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must be >= 1")
         if not 0 < self.densify_fraction <= 1:
             raise InvalidConfig("densify_fraction must be in (0, 1]")
+        if self.feed_format not in FORMATS:
+            raise InvalidConfig(f"feed_format {self.feed_format!r} is not one of {FORMATS}")
+        check_timezone(self.timezone)
         for spec in self.drilldowns:
             parse_drill_spec(spec)
 
@@ -130,6 +147,8 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
     base = path.parent
     kwargs: dict = {}
     paths = raw.get("paths", {})
+    if not isinstance(paths, dict):
+        raise InvalidConfig(f"paths must be an object, got {paths!r}")
     for key in ("feed", "scenario", "fixtures_dir", "plan", "taxonomy", "buffers", "manual_pois"):
         if paths.get(key) is not None:
             p = Path(paths[key])
@@ -152,13 +171,15 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
     if "bbox" in raw and raw["bbox"] is not None:
         kwargs["bbox"] = parse_bbox(raw["bbox"])
     tz = raw.get("timezone", DEFAULT_TIMEZONE)
-    cleaning = dict(raw.get("cleaning", {}))
+    cleaning = raw.get("cleaning", {})
+    if not isinstance(cleaning, dict):
+        raise InvalidConfig(f"cleaning must be an object, got {cleaning!r}")
     if cleaning.get("timezone", tz) != tz:
         raise InvalidConfig(
             f"cleaning.timezone {cleaning['timezone']!r} differs from timezone {tz!r}; one zone drives "
             "the day cut, the hours filter and the report slots"
         )
-    kwargs["cleaning"] = CleaningRules.from_dict({**cleaning, "timezone": tz})
+    kwargs["cleaning"] = CleaningRules.from_dict(cleaning)
     if "thresholds" in raw:
         kwargs["thresholds"] = parse_thresholds(raw["thresholds"])
     try:

@@ -23,7 +23,7 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, filterfalse
+from itertools import filterfalse
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import MalformedRecord, NonMonotonicTimestamp
-from .geo import Bbox, GeoPoint, is_valid_point
+from .geo import GeoPoint, is_valid_point
 
 log = logging.getLogger(__name__)
 
@@ -86,11 +86,6 @@ class SnapshotBatch:
     ids: list[str]
     lat: np.ndarray  # float64, len(ids)
     lon: np.ndarray  # float64, len(ids)
-
-    @classmethod
-    def from_observations(cls, ts: datetime, observations: Iterable[ScooterObservation]) -> "SnapshotBatch":
-        obs = list(observations)
-        return cls(ts, [o.scooter_id for o in obs], *_scalar_coords(o.position for o in obs))
 
     @property
     def observations(self) -> ObservationView:
@@ -428,11 +423,3 @@ def write_snapshot_stream(
         if close:
             fh.close()
     return n
-
-
-def bounding_box_filter(batches: Iterable[SnapshotBatch], bbox: Bbox) -> Iterator[SnapshotBatch]:
-    """Drop observations outside bbox; batch timestamps survive even when emptied."""
-    for batch in batches:
-        lat, lon = batch.lat, batch.lon
-        inside = (lat >= bbox.min.lat) & (lat <= bbox.max.lat) & (lon >= bbox.min.lon) & (lon <= bbox.max.lon)
-        yield SnapshotBatch(batch.ts, list(compress(batch.ids, inside.tolist())), lat[inside], lon[inside])

@@ -1,5 +1,11 @@
-"""Full-pipeline orchestration: run every stage in order, write artifacts and a
-manifest with per-stage counts, versions, and the config hash.
+"""Full-pipeline orchestration: one function per stage, run in order by
+run_pipeline, which writes a manifest with per-stage counts, versions, the
+config hash and artifact digests.
+
+Each stage function takes the PipelineConfig, its inputs in memory and the
+out dir, writes its artifacts there and returns a StageResult. The CLI's
+stage subcommands call the same functions on inputs read back from the out
+dir, so the stage-by-stage chain and `run` agree by construction.
 
 Artifacts carry no timestamps, so a rerun with the same config is
 byte-identical; the manifest's created_at field is the only exception.
@@ -25,10 +31,7 @@ from .ingest import parse_snapshot_stream
 from .poi import (
     FixturePlacesClient,
     QueryBudget,
-    default_buffer_specs_path,
-    default_manual_pois_path,
     default_plan_path,
-    default_taxonomy_path,
     harvest,
     load_buffer_specs,
     load_manual_entries,
@@ -71,6 +74,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_json(obj: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class Manifest:
     config_sha256: str
@@ -93,75 +102,168 @@ class Manifest:
         }
 
 
-def _write_manifest(manifest: Manifest, out_dir: Path) -> None:
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass
-class PoiHarvest:
-    pois: list
-    reports: list = field(default_factory=list)  # one HarvestReport per pass
-    stats: dict = field(default_factory=dict)  # the manifest's harvest stage
+class StageResult:
+    """What a stage hands on: its output for the next stage, its manifest
+    stage entries, and the artifacts it wrote."""
+
+    output: object
+    stages: dict
+    paths: list[Path] = field(default_factory=list)
 
 
-def harvest_pois(cfg: PipelineConfig) -> PoiHarvest:
+def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
+    """Generate the synthetic feed and its ground truth from paths.scenario;
+    writes feed.jsonl and truth.json."""
+    if not cfg.scenario:
+        raise InvalidConfig("config needs paths.scenario to simulate a feed, or paths.feed to read one")
+    scenario = ScenarioConfig.load(cfg.scenario)
+    truth, batches = generate(scenario)
+    paths = [Path(out_dir) / "feed.jsonl", Path(out_dir) / "truth.json"]
+    write_feed(batches, paths[0])
+    save_truth(truth, paths[1], cadence_s=scenario.cadence_s, timezone_name=scenario.timezone)
+    stats = {"truth_trips": len(truth), "batches": len(batches), "observations": sum(len(b.ids) for b in batches)}
+    return StageResult(None, {"simulate": stats}, paths)
+
+
+def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResult:
+    """Ingest the feed (paths.feed, else the simulated feed.jsonl in out_dir),
+    extract raw trips and clean them; writes trips.csv and
+    cleaning_report.json, and the raw trips CSV to raw_out when given. The
+    output is the cleaned TripTable."""
+    out_dir = Path(out_dir)
+    stream = parse_snapshot_stream(cfg.feed or out_dir / "feed.jsonl", format=cfg.feed_format)
+    raw_trips = extract_trips(stream, timezone_name=cfg.timezone)
+    if raw_out:
+        write_trips_csv(raw_trips, raw_out)
+    cleaned, clean_report = clean_trips(raw_trips, cfg.cleaning, cfg.timezone)
+    paths = [out_dir / "trips.csv", out_dir / "cleaning_report.json"]
+    write_trips_csv(cleaned, paths[0])
+    _write_json(clean_report.to_dict(), paths[1])
+    stages = {
+        "ingest": stream.stats.to_dict(),
+        "extract": {"raw_trips": len(raw_trips)},
+        "clean": clean_report.to_dict(),
+    }
+    return StageResult(cleaned, stages, paths)
+
+
+def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
     """Harvest raw POIs over the cfg grid and, with cfg.densify, run text
     queries over the lowest-density cells of the densify grid; both passes
-    share one query budget. On budget exhaustion or a fatal client error the
-    exception's .partial is a PoiHarvest holding every pass run so far."""
+    share one query budget. Writes pois_raw.json; the output is the raw POI
+    list. On budget exhaustion or a fatal client error nothing is written and
+    the exception's .partial is a StageResult with the POIs and counts of
+    every pass run so far."""
+    pois, stats = _harvest(cfg)  # returns after the client and its recorded corpus are freed
+    path = Path(out_dir) / "pois_raw.json"
+    save_raw_pois(pois, path)
+    return StageResult(pois, {"harvest": stats}, [path])
+
+
+def _harvest(cfg: PipelineConfig) -> tuple[list, dict]:
     fixtures_dir = os.environ.get("SCOOTER_FIXTURES_DIR") or cfg.fixtures_dir
     if not fixtures_dir:
-        raise InvalidConfig("no fixture directory: set paths.fixtures_dir (harvest: --fixtures) or SCOOTER_FIXTURES_DIR")
+        raise InvalidConfig("no fixture directory: set paths.fixtures_dir or SCOOTER_FIXTURES_DIR")
     client = FixturePlacesClient(fixtures_dir)
     plan = load_plan(cfg.plan or default_plan_path())
     budget = QueryBudget(cfg.query_budget)
-    out = PoiHarvest(pois=[])
+    pois: list = []
+    stats: dict = {}
 
     def run_pass(grid, entries, cells=None):
         try:
             result = harvest(client, grid, entries, budget, cells=cells)
         except (BudgetExhausted, ClientError) as exc:
-            out.pois += exc.partial.pois
-            out.reports.append(exc.partial.report)
-            exc.partial = out
+            exc.partial = StageResult(pois + exc.partial.pois, {"harvest": stats})
             raise
-        out.pois += result.pois
-        out.reports.append(result.report)
+        pois.extend(result.pois)
         return result
 
     base = run_pass(make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan)
-    out.stats = {
+    stats.update({
         "grid": [cfg.harvest_rows, cfg.harvest_cols],
         "queries": len(base.report.queries),
         "truncated_queries": base.report.truncated_queries,
         "raw_pois": len(base.pois),
-    }
+    })
     if cfg.densify:
         grid = make_grid(cfg.bbox, cfg.densify_rows, cfg.densify_cols)
-        cells = select_low_density_cells(grid, out.pois, cfg.densify_fraction)
+        cells = select_low_density_cells(grid, pois, cfg.densify_fraction)
         densify_plan = [QueryPlanEntry(kind="text", term=q) for q in DENSIFY_TEXT_QUERIES]
         dense = run_pass(grid, densify_plan, cells)
-        out.stats["densify"] = {
+        stats["densify"] = {
             "grid": [cfg.densify_rows, cfg.densify_cols],
             "cells_requeried": len(cells),
             "queries": len(dense.report.queries),
             "raw_pois": len(dense.pois),
         }
-    out.stats["budget_used"] = budget.used
-    return out
+    stats["budget_used"] = budget.used
+    return pois, stats
 
 
-def write_report(within, catalog, groups, tz: str, drilldowns, out_dir) -> tuple[list[Path], dict]:
+def taxonomy_groups(cfg: PipelineConfig) -> list[str]:
+    """The matrix and sensitivity axis: the taxonomy's groups, in its order."""
+    return list(load_taxonomy(cfg.taxonomy).groups)
+
+
+def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
+    """Normalize raw POIs into the grouped catalog (manual POIs and buffer
+    rings added, duplicates merged); writes catalog.json. The output is the
+    catalog."""
+    catalog, report = normalize_catalog(
+        raw_pois, load_taxonomy(cfg.taxonomy), load_manual_entries(cfg.manual_pois), load_buffer_specs(cfg.buffers)
+    )
+    path = Path(out_dir) / "catalog.json"
+    save_catalog(catalog, path)
+    return StageResult(catalog, {"normalize": report.to_dict()}, [path])
+
+
+def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult:
+    """Crop trips to cfg.bbox, link each endpoint to its nearest catalog POI
+    and apply the cutoff; writes assoc.csv and assoc_within_cutoff.csv. The
+    output is (associated, within cutoff)."""
+    region_trips, cropped = crop_trips(trips, cfg.bbox)
+    associated = associate(region_trips, catalog_index(catalog))
+    within = apply_threshold(associated, cfg.cutoff_m)
+    paths = [Path(out_dir) / "assoc.csv", Path(out_dir) / "assoc_within_cutoff.csv"]
+    write_associated_csv(associated, paths[0])
+    write_associated_csv(within, paths[1])
+    stages = {
+        "crop": {"in_region": len(region_trips), "removed_outside_region": cropped},
+        "associate": {
+            "associated": len(associated),
+            "within_cutoff": len(within),
+            "cutoff_m": cfg.cutoff_m,
+            "origin_reassigned": int(associated.reassigned.sum()),
+            "unresolved_collisions": int((associated.origin_poi == associated.dest_poi).sum()),
+        },
+    }
+    return StageResult((associated, within), stages, paths)
+
+
+def sensitivity_tables(cfg: PipelineConfig, associated, catalog, out_dir) -> StageResult:
+    """Trip counts per POI group as the distance threshold grows, for origins
+    and for destinations; writes sensitivity_origin.csv and
+    sensitivity_destination.csv."""
+    groups = taxonomy_groups(cfg)
+    paths = []
+    for endpoint in ("origin", "destination"):
+        table = sensitivity(associated, cfg.thresholds, endpoint, catalog, groups)
+        paths.append(Path(out_dir) / f"sensitivity_{endpoint}.csv")
+        write_sensitivity_csv(table, paths[-1])
+    return StageResult(None, {"sensitivity": {"thresholds": cfg.thresholds}}, paths)
+
+
+def write_report(cfg: PipelineConfig, within, catalog, out_dir) -> StageResult:
     """Write the overall, per-slot and weekday/weekend purpose matrices over
-    the groups axis, their long form, and one drill-down per
-    'OriginGroup:DestGroup' spec into out_dir; returns the written paths and
-    the manifest's report stage. A spec naming a group off the axis raises
-    InvalidConfig before anything is written."""
-    cells = [(spec, *parse_drill_spec(spec, groups)) for spec in drilldowns]
+    the taxonomy groups, their long form, and one drill-down per
+    cfg.drilldowns spec into out_dir. A spec naming a group off the axis
+    raises InvalidConfig before anything is written."""
+    groups = taxonomy_groups(cfg)
+    tz = cfg.timezone
+    cells = [(spec, *parse_drill_spec(spec, groups)) for spec in cfg.drilldowns]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     slices = [(None, None, "matrix_overall.csv")]
     slices += [(slot_predicate(slot, tz), slot.label, f"matrix_slot_{slot.label}.csv") for slot in TimeSlot]
     slices += [(day_class_predicate(cls, tz), cls, f"matrix_{cls}.csv") for cls in ("weekday", "weekend")]
@@ -181,130 +283,49 @@ def write_report(within, catalog, groups, tz: str, drilldowns, out_dir) -> tuple
         write_drilldown_csv(drill, paths[-1])
         drill_cells[spec] = drill.total
     stats = {"matrix_total": matrices[0].total, "slots": [s.label for s in TimeSlot], "drilldowns": drill_cells}
-    return paths, stats
+    return StageResult(None, {"report": stats}, paths)
 
 
 def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
-    """Execute every stage; on failure the manifest records the stage and any
-    partial artifacts stay on disk with status FAILED."""
+    """Run every stage in order, handing its output on in memory; on failure
+    the manifest records the stage and any partial artifacts stay on disk
+    with status FAILED."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(config_sha256=config_hash(raw_config))
     stage = "setup"
 
-    def artifact(path: Path) -> Path:
-        manifest.artifacts[path.name] = _sha256(path)
-        return path
+    def record(result: StageResult):
+        manifest.stages.update(result.stages)
+        for path in result.paths:
+            manifest.artifacts[path.name] = _sha256(path)
+        return result.output
 
     try:
-        # --- simulate (optional) -------------------------------------------------
-        feed_path = Path(cfg.feed) if cfg.feed else None
-        if feed_path is None:
+        if not cfg.feed:
             stage = "simulate"
-            if not cfg.scenario:
-                raise InvalidConfig("config needs either paths.feed or paths.scenario")
-            scenario = ScenarioConfig.load(cfg.scenario)
-            truth, batches = generate(scenario)
-            feed_path = out_dir / "feed.jsonl"
-            write_feed(batches, feed_path)
-            save_truth(truth, out_dir / "truth.json", cadence_s=scenario.cadence_s, timezone_name=scenario.timezone)
-            artifact(feed_path)
-            artifact(out_dir / "truth.json")
-            manifest.stages["simulate"] = {
-                "truth_trips": len(truth),
-                "batches": len(batches),
-                "observations": sum(len(b.ids) for b in batches),
-            }
-
-        # --- ingest + extract ----------------------------------------------------
-        stage = "ingest"
-        stream = parse_snapshot_stream(feed_path, format=cfg.feed_format)
+            record(simulate_feed(cfg, out_dir))
         stage = "extract"
-        raw_trips = extract_trips(stream, timezone_name=cfg.timezone)
-        manifest.stages["ingest"] = stream.stats.to_dict()
-        manifest.stages["extract"] = {"raw_trips": len(raw_trips)}
-
-        # --- clean ---------------------------------------------------------------
-        stage = "clean"
-        cleaned, clean_report = clean_trips(raw_trips, cfg.cleaning)
-        trips_path = out_dir / "trips.csv"
-        write_trips_csv(cleaned, trips_path)
-        artifact(trips_path)
-        with open(out_dir / "cleaning_report.json", "w", encoding="utf-8") as fh:
-            json.dump(clean_report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        artifact(out_dir / "cleaning_report.json")
-        manifest.stages["clean"] = clean_report.to_dict()
-
-        # --- region crop (cleaning first, then region selection) ------------------
-        stage = "crop"
-        region_trips, cropped = crop_trips(cleaned, cfg.bbox)
-        manifest.stages["crop"] = {"in_region": len(region_trips), "removed_outside_region": cropped}
-
-        # --- harvest ---------------------------------------------------------------
+        trips = record(extract_clean_trips(cfg, out_dir))
         stage = "harvest"
-        harvested = harvest_pois(cfg)
-        raw_pois = harvested.pois
-        pois_path = out_dir / "pois_raw.json"
-        save_raw_pois(raw_pois, pois_path)
-        artifact(pois_path)
-        manifest.stages["harvest"] = harvested.stats
-
-        # --- normalize -------------------------------------------------------------
+        raw_pois = record(harvest_pois(cfg, out_dir))
         stage = "normalize"
-        taxonomy = load_taxonomy(cfg.taxonomy or default_taxonomy_path())
-        manual = load_manual_entries(cfg.manual_pois or default_manual_pois_path())
-        buffer_specs = load_buffer_specs(cfg.buffers or default_buffer_specs_path())
-        catalog, normalize_report = normalize_catalog(raw_pois, taxonomy, manual, buffer_specs)
-        catalog_path = out_dir / "catalog.json"
-        save_catalog(catalog, catalog_path)
-        artifact(catalog_path)
-        manifest.stages["normalize"] = normalize_report.to_dict()
-
-        # --- associate ---------------------------------------------------------------
+        catalog = record(normalize_pois(cfg, raw_pois, out_dir))
         stage = "associate"
-        index = catalog_index(catalog)
-        associated = associate(region_trips, index)
-        within = apply_threshold(associated, cfg.cutoff_m)
-        assoc_path = out_dir / "assoc.csv"
-        write_associated_csv(associated, assoc_path)
-        artifact(assoc_path)
-        cut_path = out_dir / "assoc_within_cutoff.csv"
-        write_associated_csv(within, cut_path)
-        artifact(cut_path)
-        manifest.stages["associate"] = {
-            "associated": len(associated),
-            "within_cutoff": len(within),
-            "cutoff_m": cfg.cutoff_m,
-            "origin_reassigned": int(associated.reassigned.sum()),
-            "unresolved_collisions": int((associated.origin_poi == associated.dest_poi).sum()),
-        }
-
-        # --- sensitivity -----------------------------------------------------------
+        associated, within = record(associate_trips(cfg, trips, catalog, out_dir))
         stage = "sensitivity"
-        groups = list(taxonomy.groups)
-        for endpoint in ("origin", "destination"):
-            table = sensitivity(associated, cfg.thresholds, endpoint, catalog, groups)
-            path = out_dir / f"sensitivity_{endpoint}.csv"
-            write_sensitivity_csv(table, path)
-            artifact(path)
-        manifest.stages["sensitivity"] = {"thresholds": cfg.thresholds}
-
-        # --- report ------------------------------------------------------------------
+        record(sensitivity_tables(cfg, associated, catalog, out_dir))
         stage = "report"
-        paths, report_stats = write_report(within, catalog, groups, cfg.timezone, cfg.drilldowns, out_dir)
-        for p in paths:
-            artifact(p)
-        manifest.stages["report"] = report_stats
+        record(write_report(cfg, within, catalog, out_dir))
     except Exception as exc:
         manifest.status = "FAILED"
         manifest.failed_stage = stage
-        _write_manifest(manifest, out_dir)
+        _write_json(manifest.to_dict(), out_dir / "manifest.json")
         log.error("pipeline failed at stage %s: %s", stage, exc)
         if isinstance(exc, BudgetExhausted):
             raise  # keeps its dedicated exit code
         if isinstance(exc, PipelineError):
             raise StageFailure(stage, exc) from exc
         raise
-    _write_manifest(manifest, out_dir)
+    _write_json(manifest.to_dict(), out_dir / "manifest.json")
     return manifest

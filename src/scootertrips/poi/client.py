@@ -145,18 +145,6 @@ class QueryRecord:
     results: int
     truncated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "cell": list(self.cell),
-            "depth": self.depth,
-            "kind": self.kind,
-            "term": self.term,
-            "center": [self.center.lat, self.center.lon],
-            "radius_m": self.radius_m,
-            "results": self.results,
-            "truncated": self.truncated,
-        }
-
 
 @dataclass
 class HarvestReport:
@@ -164,15 +152,6 @@ class HarvestReport:
     truncated_queries: int = 0
     failed: bool = False
     failure: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "total_queries": len(self.queries),
-            "truncated_queries": self.truncated_queries,
-            "failed": self.failed,
-            "failure": self.failure,
-            "queries": [q.to_dict() for q in self.queries],
-        }
 
 
 @dataclass

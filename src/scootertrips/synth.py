@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from .config import check_timezone, parse_bbox
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from .ingest import SnapshotBatch, write_snapshot_stream
@@ -70,18 +71,31 @@ class ScenarioConfig:
         unknown = set(self.trip_rates) - set(SLOT_WINDOWS)
         if unknown:
             raise InvalidConfig(f"unknown trip-rate slots: {sorted(unknown)}")
+        check_timezone(self.timezone, "scenario timezone")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
+        """A scenario from its JSON object; an unknown key or a value that does
+        not parse raises InvalidConfig naming the key."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(f"unknown scenario keys: {unknown}")
         kwargs = dict(obj)
-        if "start_date" in kwargs:
-            kwargs["start_date"] = date.fromisoformat(kwargs["start_date"])
-        if "bbox" in kwargs:
-            b = kwargs["bbox"]
-            kwargs["bbox"] = Bbox(GeoPoint(b["min_lat"], b["min_lon"]), GeoPoint(b["max_lat"], b["max_lon"]))
-        if kwargs.get("anchors"):
-            kwargs["anchors"] = [GeoPoint(a[0], a[1]) for a in kwargs["anchors"]]
-        return cls(**kwargs)
+        parsers = {
+            "start_date": date.fromisoformat,
+            "bbox": parse_bbox,
+            "anchors": lambda anchors: [GeoPoint(a[0], a[1]) for a in anchors] if anchors else anchors,
+        }
+        for key, parse in parsers.items():
+            if key in kwargs:
+                try:
+                    kwargs[key] = parse(kwargs[key])
+                except (IndexError, KeyError, TypeError, ValueError) as exc:
+                    raise InvalidConfig(f"scenario {key} {kwargs[key]!r} does not parse: {exc!r}") from None
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise InvalidConfig(f"bad scenario value: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

@@ -88,7 +88,6 @@ class CleaningRules:
     max_displacement_m: float = 3000.0
     day_start: time = time(7, 0)
     day_end: time = time(21, 0)
-    timezone: str = DEFAULT_TIMEZONE
 
     def __post_init__(self):
         if not (0 <= self.min_displacement_m < self.max_displacement_m):
@@ -101,25 +100,16 @@ class CleaningRules:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CleaningRules":
+        """The rules a config's cleaning object sets; other keys are ignored."""
         kwargs = {}
-        for key in ("min_displacement_m", "max_displacement_m"):
+        for key, parse in (("min_displacement_m", float), ("max_displacement_m", float),
+                           ("day_start", time.fromisoformat), ("day_end", time.fromisoformat)):
             if key in obj:
-                kwargs[key] = float(obj[key])
-        for key in ("day_start", "day_end"):
-            if key in obj:
-                kwargs[key] = time.fromisoformat(str(obj[key]))
-        if "timezone" in obj:
-            kwargs["timezone"] = str(obj["timezone"])
+                try:
+                    kwargs[key] = parse(obj[key])
+                except (TypeError, ValueError) as exc:
+                    raise InvalidConfig(f"cleaning.{key} {obj[key]!r} does not parse: {exc}") from None
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "min_displacement_m": self.min_displacement_m,
-            "max_displacement_m": self.max_displacement_m,
-            "day_start": self.day_start.isoformat(timespec="minutes"),
-            "day_end": self.day_end.isoformat(timespec="minutes"),
-            "timezone": self.timezone,
-        }
 
 
 @dataclass
@@ -230,17 +220,19 @@ def extract_trips(
     return table.take(np.lexsort((end, rank[scooter], start)))
 
 
-def clean_trips(trips: TripTable, rules: CleaningRules) -> tuple[TripTable, CleaningReport]:
+def clean_trips(
+    trips: TripTable, rules: CleaningRules, timezone_name: str = DEFAULT_TIMEZONE
+) -> tuple[TripTable, CleaningReport]:
     """Apply the hours filter then the displacement filter; each trip counts once.
 
     Keeps trips whose displacement lies in [min, max] (inclusive) and whose
-    start and end both fall in [day_start, day_end) local time. The report
+    start and end both fall in [day_start, day_end) in timezone_name. The report
     carries the sub-5/10/20 m diagnostic over the raw input.
     """
     report = CleaningReport(input_count=len(trips))
     disp = trips.displacement
-    _, start_min = local_fields(trips.start, rules.timezone)
-    _, end_min = local_fields(trips.end, rules.timezone)
+    _, start_min = local_fields(trips.start, timezone_name)
+    _, end_min = local_fields(trips.end, timezone_name)
 
     lo = rules.day_start.hour * 60 + rules.day_start.minute
     hi = rules.day_end.hour * 60 + rules.day_end.minute

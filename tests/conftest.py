@@ -22,7 +22,14 @@ CITY = GeoPoint(33.77, -84.39)
 
 
 def batch(offset_s: int, observations, base: datetime = BASE_TS) -> SnapshotBatch:
-    return SnapshotBatch.from_observations(base + timedelta(seconds=offset_s), observations)
+    """A SnapshotBatch at base + offset_s holding the observations in order."""
+    observations = list(observations)
+    return SnapshotBatch(
+        base + timedelta(seconds=offset_s),
+        [o.scooter_id for o in observations],
+        np.array([o.position.lat for o in observations], dtype=np.float64),
+        np.array([o.position.lon for o in observations], dtype=np.float64),
+    )
 
 
 def obs(scooter_id: str, point: GeoPoint) -> ScooterObservation:

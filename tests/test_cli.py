@@ -1,15 +1,17 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from scootertrips.config import load_config
-from scootertrips.errors import InvalidConfig
-from scootertrips.poi import load_raw_pois
+from scootertrips.config import PipelineConfig, load_config
+from scootertrips.errors import BudgetExhausted, InvalidConfig
+from scootertrips.pipeline import harvest_pois
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
+STAGES = ("simulate", "extract", "harvest", "normalize", "associate", "sensitivity", "report")
 
 
 def write_scenario(tmp_path, **overrides) -> Path:
@@ -26,8 +28,22 @@ def write_scenario(tmp_path, **overrides) -> Path:
     return path
 
 
+def write_config(tmp_path, paths=None, **overrides) -> Path:
+    """The demo config with absolute paths (or the given ones) and overrides."""
+    config = json.loads((DEMO / "config.json").read_text())
+    config["paths"] = paths or {key: str(DEMO / path) for key, path in config["paths"].items()}
+    config.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def stage(name: str, config: Path, out: Path, *extra: str) -> int:
+    return main([name, "--config", str(config), "--out-dir", str(out), *extra])
+
+
 def test_usage_error_exit_code():
-    assert main(["extract", "--input"]) == EXIT_USAGE
+    assert main(["extract", "--config"]) == EXIT_USAGE
 
 
 def test_unknown_command_exit_code():
@@ -35,114 +51,75 @@ def test_unknown_command_exit_code():
 
 
 def test_missing_file_is_data_error(tmp_path):
-    assert main(["extract", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "t.csv")]) == EXIT_DATA
+    config = write_config(tmp_path, paths={"feed": str(tmp_path / "nope.jsonl")})
+    assert stage("extract", config, tmp_path / "out") == EXIT_DATA
 
 
-def test_simulate_extract_score_round_trip(tmp_path):
-    scenario = write_scenario(tmp_path)
-    feed = tmp_path / "feed.jsonl"
-    truth = tmp_path / "truth.json"
-    assert main(["simulate", "--config", str(scenario), "--out", str(feed), "--truth", str(truth)]) == EXIT_OK
+def test_simulate_extract_score_round_trip(tmp_path, capsys):
+    config = write_config(tmp_path, paths={"scenario": str(write_scenario(tmp_path))})
+    out = tmp_path / "out"
+    assert stage("simulate", config, out) == EXIT_OK
+    capsys.readouterr()
 
-    trips = tmp_path / "trips.csv"
     raw = tmp_path / "raw.csv"
-    report = tmp_path / "report.json"
-    assert main([
-        "extract", "--input", str(feed), "--out", str(trips), "--raw-out", str(raw), "--report", str(report),
-    ]) == EXIT_OK
-    payload = json.loads(report.read_text())
-    assert payload["cleaning"]["input_count"] >= payload["cleaning"]["kept"]
+    assert stage("extract", config, out, "--raw-out", str(raw)) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["clean"]["input_count"] >= payload["clean"]["kept"]
+    assert payload["ingest"]["retained"] > 0
 
     score_out = tmp_path / "score.json"
-    assert main(["score", "--truth", str(truth), "--extracted", str(raw), "--out", str(score_out)]) == EXIT_OK
+    assert main(["score", "--truth", str(out / "truth.json"), "--extracted", str(raw), "--out", str(score_out)]) == EXIT_OK
     score = json.loads(score_out.read_text())
     assert score["recall"] == 1.0
-
-
-def test_ingest_stats_and_bbox(tmp_path):
-    scenario = write_scenario(tmp_path)
-    feed = tmp_path / "feed.jsonl"
-    truth = tmp_path / "truth.json"
-    main(["simulate", "--config", str(scenario), "--out", str(feed), "--truth", str(truth)])
-    stats_path = tmp_path / "stats.json"
-    out_feed = tmp_path / "filtered.jsonl"
-    code = main([
-        "ingest", "--input", str(feed),
-        "--bbox", "33.748379,-84.405623,33.789279,-84.359615",
-        "--out", str(out_feed), "--stats-out", str(stats_path),
-    ])
-    assert code == EXIT_OK
-    stats = json.loads(stats_path.read_text())
-    assert stats["retained"] > 0
-    assert out_feed.exists()
 
 
 def test_harvest_budget_exhausted_exit_code(tmp_path):
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     (fixtures / "empty.json").write_text("{}")
-    code = main([
-        "harvest", "--grid", "8x8", "--budget", "5", "--fixtures", str(fixtures),
-        "--out", str(tmp_path / "pois.json"),
-    ])
-    assert code == EXIT_BUDGET
-    # partial results were still written
-    assert (tmp_path / "pois.json").exists()
+    config = write_config(tmp_path, paths={"fixtures_dir": str(fixtures)}, query_budget=5)
+    out = tmp_path / "out"
+    assert stage("harvest", config, out) == EXIT_BUDGET
+    # as in `run`, an exhausted harvest writes no POI file
+    assert not (out / "pois_raw.json").exists()
 
 
 def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
-    pois = tmp_path / "pois.json"
-    report = tmp_path / "report.json"
-    code = main([
-        "harvest", "--grid", "8x8", "--plan", str(DEMO / "plan.json"), "--budget", "1100", "--densify",
-        "--fixtures", str(DEMO / "fixtures"), "--out", str(pois), "--report", str(report),
-    ])
-    assert code == EXIT_BUDGET
-    assert len(load_raw_pois(pois)) == 38
-    assert len(json.loads(report.read_text())["harvests"]) == 2
+    cfg = PipelineConfig(fixtures_dir=str(DEMO / "fixtures"), query_budget=1100, densify=True)
+    with pytest.raises(BudgetExhausted) as err:
+        harvest_pois(cfg, tmp_path)
+    partial = err.value.partial
+    assert len(partial.output) == 38
+    stats = partial.stages["harvest"]
+    assert stats["raw_pois"] == 38 and stats["queries"] < 1100  # the densify pass spent the rest
+    assert "densify" not in stats
+    assert not (tmp_path / "pois_raw.json").exists()
 
 
 def test_harvest_normalize_associate_sensitivity_report(tmp_path):
     scenario = write_scenario(tmp_path, anchors=[[33.7570, -84.3960], [33.7610, -84.3880], [33.7700, -84.3840]])
-    feed = tmp_path / "feed.jsonl"
-    truth = tmp_path / "truth.json"
-    main(["simulate", "--config", str(scenario), "--out", str(feed), "--truth", str(truth)])
-    trips = tmp_path / "trips.csv"
-    main(["extract", "--input", str(feed), "--out", str(trips)])
+    config = write_config(
+        tmp_path,
+        paths={"scenario": str(scenario), "fixtures_dir": str(DEMO / "fixtures")},
+        densify=False,
+        query_budget=5000,
+        drilldowns=["Food:Food"],
+    )
+    out = tmp_path / "out"
+    for name in STAGES:
+        assert stage(name, config, out) == EXIT_OK, name
 
-    pois = tmp_path / "pois.json"
-    assert main([
-        "harvest", "--grid", "8x8", "--plan", str(DEMO / "plan.json"), "--budget", "5000",
-        "--fixtures", str(DEMO / "fixtures"), "--out", str(pois),
-    ]) == EXIT_OK
-
-    catalog = tmp_path / "catalog.json"
-    assert main(["normalize", "--in", str(pois), "--out", str(catalog)]) == EXIT_OK
-
-    assoc = tmp_path / "assoc.csv"
-    assert main(["associate", "--trips", str(trips), "--catalog", str(catalog), "--out", str(assoc)]) == EXIT_OK
-
-    sens = tmp_path / "sens.csv"
-    assert main([
-        "sensitivity", "--assoc", str(assoc), "--catalog", str(catalog),
-        "--thresholds", "0:100:5", "--endpoint", "destination", "--out", str(sens),
-    ]) == EXIT_OK
-    assert sens.read_text().startswith("endpoint,group,threshold_m,count,percent")
-
-    out_dir = tmp_path / "report"
-    assert main([
-        "report", "--assoc", str(assoc), "--catalog", str(catalog),
-        "--drill", "Food:Food", "--out", str(out_dir),
-    ]) == EXIT_OK
-    assert (out_dir / "matrix_overall.csv").exists()
-    assert (out_dir / "matrix_slot_morning.csv").exists()
-    assert (out_dir / "matrix_weekend.csv").exists()
-    assert (out_dir / "drill_Food_Food.csv").exists()
+    assert (out / "sensitivity_destination.csv").read_text().startswith("endpoint,group,threshold_m,count,percent")
+    assert (out / "matrix_overall.csv").exists()
+    assert (out / "matrix_slot_morning.csv").exists()
+    assert (out / "matrix_weekend.csv").exists()
+    assert (out / "drill_Food_Food.csv").exists()
 
 
 def test_run_pipeline_and_rerun_stage_identical(tmp_path):
     out = tmp_path / "out"
-    assert main(["run", "--config", str(DEMO / "config.json"), "--out-dir", str(out)]) == EXIT_OK
+    config = DEMO / "config.json"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     stages = manifest["stages"]
@@ -153,35 +130,34 @@ def test_run_pipeline_and_rerun_stage_identical(tmp_path):
 
     # rerunning a later stage over unchanged upstream artifacts is reproducible
     assoc1 = (out / "assoc.csv").read_bytes()
-    code = main([
-        "associate", "--trips", str(out / "trips.csv"), "--catalog", str(out / "catalog.json"),
-        "--out", str(out / "assoc_rerun.csv"),
-    ])
-    assert code == EXIT_OK
-    # the run pipeline crops trips to the region before associating; the
-    # stand-alone rerun sees identical row prefix when no trips were cropped
-    if stages["crop"]["removed_outside_region"] == 0:
-        assert (out / "assoc_rerun.csv").read_bytes() == assoc1
+    (out / "assoc.csv").unlink()
+    assert stage("associate", config, out) == EXIT_OK
+    assert (out / "assoc.csv").read_bytes() == assoc1
 
 
 def test_fixtures_env_var_overrides_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("SCOOTER_FIXTURES_DIR", str(DEMO / "fixtures"))
-    pois = tmp_path / "pois.json"
-    code = main([
-        "harvest", "--grid", "4x4", "--plan", str(DEMO / "plan.json"), "--budget", "1000",
-        "--fixtures", str(tmp_path / "does-not-exist"), "--out", str(pois),
-    ])
-    assert code == EXIT_OK
-    assert pois.exists()
+    config = write_config(
+        tmp_path,
+        paths={"fixtures_dir": str(tmp_path / "does-not-exist")},
+        harvest_rows=4,
+        harvest_cols=4,
+        densify=False,
+        query_budget=1000,
+    )
+    out = tmp_path / "out"
+    assert stage("harvest", config, out) == EXIT_OK
+    assert (out / "pois_raw.json").exists()
 
 
 def test_run_with_existing_feed(tmp_path):
     scenario = write_scenario(tmp_path, anchors=[[33.7570, -84.3960], [33.7610, -84.3880], [33.7700, -84.3840]])
-    feed = tmp_path / "feed.jsonl"
-    main(["simulate", "--config", str(scenario), "--out", str(feed), "--truth", str(tmp_path / "truth.json")])
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    assert stage("simulate", write_config(sim, paths={"scenario": str(scenario)}), sim) == EXIT_OK
     config = {
         "version": 1,
-        "paths": {"feed": str(feed), "fixtures_dir": str(DEMO / "fixtures"), "plan": str(DEMO / "plan.json")},
+        "paths": {"feed": str(sim / "feed.jsonl"), "fixtures_dir": str(DEMO / "fixtures")},
         "query_budget": 5000,
     }
     cfg = tmp_path / "config.json"
@@ -209,44 +185,48 @@ def test_run_missing_fixtures_dir_fails_with_stage(tmp_path):
     assert manifest["failed_stage"] == "harvest"
 
 
-def test_documented_chain_reproduces_run(tmp_path):
-    run_dir = tmp_path / "run"
-    assert main(["run", "--config", str(DEMO / "config.json"), "--out-dir", str(run_dir)]) == EXIT_OK
-    # run crops trips to the region and the chain has no crop step, so the
-    # comparison only means something while the demo crops nothing
+def assert_chain_reproduces_run(config: Path, tmp_path: Path, capsys) -> dict:
+    """Run the config, then each stage subcommand in order into a second
+    directory; every artifact and every stage's manifest entries must agree.
+    Returns run's manifest stages."""
+    run_dir, chain_dir = tmp_path / "run", tmp_path / "chain"
+    assert main(["run", "--config", str(config), "--out-dir", str(run_dir)]) == EXIT_OK
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["stages"]["crop"]["removed_outside_region"] == 0
+    capsys.readouterr()
 
-    out = tmp_path / "chain"
-    out.mkdir()
-    trips, pois, catalog = out / "trips.csv", out / "pois_raw.json", out / "catalog.json"
-    assoc, within = out / "assoc.csv", out / "assoc_within_cutoff.csv"
-    chain = [
-        ["simulate", "--config", str(DEMO / "scenario.json"), "--out", str(out / "feed.jsonl"),
-         "--truth", str(out / "truth.json")],
-        ["extract", "--input", str(out / "feed.jsonl"), "--out", str(trips)],
-        ["harvest", "--grid", "8x8", "--plan", str(DEMO / "plan.json"), "--budget", "20000", "--densify",
-         "--fixtures", str(DEMO / "fixtures"), "--out", str(pois)],
-        ["normalize", "--in", str(pois), "--out", str(catalog)],
-        ["associate", "--trips", str(trips), "--catalog", str(catalog), "--out", str(assoc)],
-        ["associate", "--trips", str(trips), "--catalog", str(catalog), "--cutoff", "50", "--out", str(within)],
-        ["sensitivity", "--assoc", str(assoc), "--catalog", str(catalog), "--endpoint", "origin",
-         "--out", str(out / "sensitivity_origin.csv")],
-        ["sensitivity", "--assoc", str(assoc), "--catalog", str(catalog), "--endpoint", "destination",
-         "--out", str(out / "sensitivity_destination.csv")],
-        ["report", "--assoc", str(within), "--catalog", str(catalog), "--drill", "Business:Business",
-         "--drill", "Recreation:Recreation", "--out", str(out)],
-    ]
-    for argv in chain:
-        assert main(argv) == EXIT_OK, argv
+    printed = {}
+    for name in STAGES:
+        assert stage(name, config, chain_dir) == EXIT_OK, name
+        entries = json.loads(capsys.readouterr().out)
+        assert entries == {key: manifest["stages"][key] for key in entries}, name
+        printed.update(entries)
+    assert printed == manifest["stages"]
 
-    names = ["trips.csv", "pois_raw.json", "catalog.json", "assoc.csv", "assoc_within_cutoff.csv",
-             "matrices_long.csv", "sensitivity_origin.csv", "sensitivity_destination.csv",
-             "drill_Business_Business.csv", "drill_Recreation_Recreation.csv"]
-    matrices = sorted(p.name for p in run_dir.glob("matrix_*.csv"))
-    assert len(matrices) == 8
-    for name in names + matrices:
-        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+    assert len(manifest["artifacts"]) == 21
+    for name in manifest["artifacts"]:
+        assert (chain_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+    return manifest["stages"]
+
+
+def test_documented_chain_reproduces_run(tmp_path, capsys):
+    assert_chain_reproduces_run(DEMO / "config.json", tmp_path, capsys)
+
+
+def test_chain_reproduces_run_that_crops(tmp_path, capsys):
+    # one more fleet anchor ~300 m south of the config's region: the crop removes its trips
+    scenario = json.loads((DEMO / "scenario.json").read_text())
+    scenario["anchors"].append([33.7455, -84.3900])
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    config = write_config(tmp_path, paths={"scenario": str(tmp_path / "scenario.json"),
+                                           "fixtures_dir": str(DEMO / "fixtures")})
+    stages = assert_chain_reproduces_run(config, tmp_path, capsys)
+    assert stages["crop"]["removed_outside_region"] >= 1
+
+
+def test_chain_reproduces_run_in_another_timezone(tmp_path, capsys):
+    config = write_config(tmp_path, timezone="America/Chicago")
+    stages = assert_chain_reproduces_run(config, tmp_path, capsys)
+    assert stages["clean"]["kept"] > 0
 
 
 def test_config_rejects_a_second_timezone(tmp_path):
@@ -255,7 +235,30 @@ def test_config_rejects_a_second_timezone(tmp_path):
     with pytest.raises(InvalidConfig, match="cleaning.timezone"):
         load_config(path)
     path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/Chicago"}}))
-    assert load_config(path)[0].cleaning.timezone == "America/Chicago"
+    assert load_config(path)[0].timezone == "America/Chicago"
+
+
+def bad_scenario(tmp_path) -> dict:
+    return {"paths": {"scenario": str(write_scenario(tmp_path, fleet=8))}}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"bbox": "a,b,c,d"}, "bbox"),
+    ({"bbox": {"min_lat": 33.7, "max_lat": 33.8, "max_lon": -84.3}}, "bbox"),
+    ({"thresholds": "a:b:c"}, "thresholds"),
+    ({"cleaning": {"day_start": "7am"}}, "cleaning.day_start"),
+    (bad_scenario, "fleet"),
+    ({"timezone": "Mars/Base"}, "Mars/Base"),
+], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "scenario-key", "timezone"])
+def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key):
+    if callable(overrides):
+        overrides = overrides(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err
+    assert key in err
+    assert not (out / "feed.jsonl").exists()  # rejected before the simulate stage wrote anything
 
 
 @pytest.fixture(scope="module")
@@ -267,24 +270,21 @@ def demo_run(tmp_path_factory):
 
 @pytest.mark.parametrize("spec", ["Business", "Busines:Nothing"])
 def test_report_rejects_bad_drill_spec(demo_run, tmp_path, capsys, caplog, spec):
-    out = tmp_path / "report"
-    code = main([
-        "report", "--assoc", str(demo_run / "assoc_within_cutoff.csv"), "--catalog", str(demo_run / "catalog.json"),
-        "--drill", "Business:Business", "--drill", spec, "--out", str(out),
-    ])
-    assert code == EXIT_DATA
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("assoc_within_cutoff.csv", "catalog.json"):
+        shutil.copy(demo_run / name, out / name)
+    config = write_config(tmp_path, drilldowns=["Business:Business", spec])
+    assert stage("report", config, out) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: drilldown {spec!r}")
     assert "Traceback" not in caplog.text
-    assert not out.exists()  # checked before anything is written
+    # checked before anything is written
+    assert sorted(p.name for p in out.iterdir()) == ["assoc_within_cutoff.csv", "catalog.json"]
 
 
 @pytest.mark.parametrize("spec, failed_stage", [("Business", None), ("Busines:Nothing", "report")])
 def test_run_rejects_bad_drill_spec(tmp_path, capsys, caplog, spec, failed_stage):
-    config = json.loads((DEMO / "config.json").read_text())
-    config["paths"] = {key: str(DEMO / path) for key, path in config["paths"].items()}
-    config["drilldowns"] = [spec]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path = write_config(tmp_path, drilldowns=[spec])
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
     assert f"drilldown {spec!r}" in capsys.readouterr().err

@@ -10,15 +10,12 @@ from scootertrips.errors import InvalidBbox, MalformedRecord, NonMonotonicTimest
 from scootertrips.geo import Bbox, GeoPoint
 from scootertrips.ingest import (
     SnapshotBatch,
-    bounding_box_filter,
     parse_snapshot_stream,
     write_snapshot_stream,
 )
 from scootertrips.trips import extract_trips
 
 from conftest import batch, obs, rows
-
-STUDY = Bbox(GeoPoint(33.748379, -84.405623), GeoPoint(33.789279, -84.359615))
 
 
 def parse_all(text: str, format: str = "jsonl"):
@@ -152,29 +149,9 @@ class TestCsv:
 
 
 class TestBboxFilter:
-    def test_point_inside_retained(self):
-        batches = [batch(0, [obs("a", GeoPoint(33.77, -84.39))])]
-        out = list(bounding_box_filter(batches, STUDY))
-        assert len(out[0].observations) == 1
-
-    def test_point_outside_removed_empty_batch_kept(self):
-        batches = [batch(0, [obs("a", GeoPoint(34.0, -84.39))])]
-        out = list(bounding_box_filter(batches, STUDY))
-        assert out[0].observations == []
-        assert out[0].ts == batches[0].ts
-
     def test_invalid_bbox_raises(self):
         with pytest.raises(InvalidBbox):
             Bbox(GeoPoint(33.8, -84.4), GeoPoint(33.7, -84.3))
-
-    def test_idempotent(self):
-        batches = [
-            batch(0, [obs("a", GeoPoint(33.77, -84.39)), obs("b", GeoPoint(34.0, -84.39))]),
-            batch(600, [obs("a", GeoPoint(33.75, -84.40))]),
-        ]
-        once = list(bounding_box_filter(batches, STUDY))
-        twice = list(bounding_box_filter(once, STUDY))
-        assert [b.observations for b in once] == [b.observations for b in twice]
 
 
 feed_points = st.builds(

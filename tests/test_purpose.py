@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scootertrips.config import PipelineConfig
 from scootertrips.errors import DanglingPoiReference, OutOfOperatingHours
 from scootertrips.pipeline import write_report
 from scootertrips.poi import Poi
@@ -242,4 +243,4 @@ def test_report_rejects_trip_outside_operating_hours(tmp_path):
     # a wider cleaning window can let a 06:30 start through the cutoff; it has no slot
     within = table_of([assoc("biz1", "food1"), assoc("biz1", "food1", datetime(2019, 2, 4, 6, 30))])
     with pytest.raises(OutOfOperatingHours, match="06:30"):
-        write_report(within, CATALOG, GROUPS, "America/New_York", [], tmp_path)
+        write_report(PipelineConfig(timezone="America/New_York", drilldowns=[]), within, CATALOG, tmp_path)

@@ -10,7 +10,7 @@ from scootertrips.ingest import parse_snapshot_stream, write_snapshot_stream
 from scootertrips.synth import ScenarioConfig, TruthTrip, generate, load_truth, save_truth, score, write_feed
 from scootertrips.trips import CleaningRules, clean_trips, extract_trips
 
-from conftest import rows
+from conftest import batch, rows
 
 UTC = timezone.utc
 EST = ZoneInfo("America/New_York")
@@ -128,14 +128,14 @@ class TestScore:
         ]
         cfg = ScenarioConfig(rng_seed=1, fleet_size=1, days=1, trip_rates={}, charging_relocation=False)
         _, feed = generate(cfg)  # only for tick structure; rebuild positions manually
-        from scootertrips.ingest import ScooterObservation, SnapshotBatch
+        from scootertrips.ingest import ScooterObservation
 
         feed = []
         for batch_ts in [base - 600, base, base + 600, base + 1200]:
             ts = datetime.fromtimestamp(batch_ts, tz=UTC)
             inside = any(t.start_epoch_s < batch_ts < t.end_epoch_s for t in truth)
             pos = a if batch_ts <= truth[0].start_epoch_s else (b if batch_ts <= truth[1].start_epoch_s else c)
-            feed.append(SnapshotBatch.from_observations(ts, [] if inside else [ScooterObservation("S00000", pos)]))
+            feed.append(batch(0, [] if inside else [ScooterObservation("S00000", pos)], base=ts))
         extracted = extract_trips(feed)
         assert len(extracted) == 1  # merged hop a -> c
         report = score(truth, extracted, 600)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from scootertrips.config import DEFAULT_REGION
 from scootertrips.geo import GeoPoint, haversine_m, make_grid
+from scootertrips.poi import default_plan_path
 from scootertrips.poi.client import DENSIFY_TEXT_QUERIES, canonical_query, load_plan, normalize_query_type
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,7 +105,7 @@ def record_grid(responses: dict, grid, entries) -> None:
 
 
 def main() -> None:
-    plan = load_plan(REPO / "demo" / "plan.json")
+    plan = load_plan(default_plan_path())
     responses: dict[str, dict] = {}
     record_grid(responses, make_grid(DEFAULT_REGION, 8, 8), [(e.kind, e.term) for e in plan])
     record_grid(responses, make_grid(DEFAULT_REGION, 15, 15), [("text", q) for q in DENSIFY_TEXT_QUERIES])
