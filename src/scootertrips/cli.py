@@ -74,31 +74,11 @@ def _write_json(obj: dict, path: str | None) -> None:
 def _cmd_stage(args) -> int:
     """Run one pipeline stage, as `run` does, on inputs read back from the out
     dir; print its manifest stage entries as JSON."""
-    from . import pipeline
-    from .assoc import read_associated_csv
     from .config import load_config
-    from .poi import load_catalog, load_raw_pois
-    from .trips import read_trips_csv
+    from .pipeline import run_stage
 
     cfg, _ = load_config(args.config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stages = {
-        "simulate": lambda: pipeline.simulate_feed(cfg, out),
-        "extract": lambda: pipeline.extract_clean_trips(cfg, out, raw_out=args.raw_out),
-        "harvest": lambda: pipeline.harvest_pois(cfg, out),
-        "normalize": lambda: pipeline.normalize_pois(cfg, load_raw_pois(out / "pois_raw.json"), out),
-        "associate": lambda: pipeline.associate_trips(
-            cfg, read_trips_csv(out / "trips.csv"), load_catalog(out / "catalog.json"), out
-        ),
-        "sensitivity": lambda: pipeline.sensitivity_tables(
-            cfg, read_associated_csv(out / "assoc.csv"), load_catalog(out / "catalog.json"), out
-        ),
-        "report": lambda: pipeline.write_report(
-            cfg, read_associated_csv(out / "assoc_within_cutoff.csv"), load_catalog(out / "catalog.json"), out
-        ),
-    }
-    result = stages[args.command]()
+    result = run_stage(args.command, cfg, args.out_dir, raw_out=getattr(args, "raw_out", None))
     _write_json(result.stages, None)
     return EXIT_OK
 

@@ -3,9 +3,10 @@ run_pipeline, which writes a manifest with per-stage counts, versions, the
 config hash and artifact digests.
 
 Each stage function takes the PipelineConfig, its inputs in memory and the
-out dir, writes its artifacts there and returns a StageResult. The CLI's
-stage subcommands call the same functions on inputs read back from the out
-dir, so the stage-by-stage chain and `run` agree by construction.
+out dir, writes its artifacts there and returns a StageResult. run_stage
+runs one of the same functions on inputs read back from the file names the
+earlier stages write (the CLI's stage subcommands), so the stage-by-stage
+chain and `run` agree by construction.
 
 Artifacts carry no timestamps, so a rerun with the same config is
 byte-identical; the manifest's created_at field is the only exception.
@@ -23,7 +24,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .assoc import apply_threshold, associate, catalog_index, sensitivity, write_associated_csv, write_sensitivity_csv
+from .assoc import (
+    apply_threshold,
+    associate,
+    catalog_index,
+    read_associated_csv,
+    sensitivity,
+    write_associated_csv,
+    write_sensitivity_csv,
+)
 from .config import PipelineConfig, config_hash, parse_drill_spec
 from .errors import BudgetExhausted, ClientError, InvalidConfig, PipelineError
 from .geo import make_grid
@@ -34,8 +43,10 @@ from .poi import (
     default_plan_path,
     harvest,
     load_buffer_specs,
+    load_catalog,
     load_manual_entries,
     load_plan,
+    load_raw_pois,
     load_taxonomy,
     normalize_catalog,
     save_catalog,
@@ -54,9 +65,17 @@ from .purpose import (
     write_matrix_long_csv,
 )
 from .synth import ScenarioConfig, generate, save_truth, write_feed
-from .trips import clean_trips, crop_trips, extract_trips, write_trips_csv
+from .trips import clean_trips, crop_trips, extract_trips, read_trips_csv, write_trips_csv
 
 log = logging.getLogger(__name__)
+
+# the artifacts one stage writes and a later one reads back in run_stage
+FEED = "feed.jsonl"
+TRIPS = "trips.csv"
+RAW_POIS = "pois_raw.json"
+CATALOG = "catalog.json"
+ASSOC = "assoc.csv"
+WITHIN = "assoc_within_cutoff.csv"
 
 
 class StageFailure(PipelineError):
@@ -119,7 +138,7 @@ def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
         raise InvalidConfig("config needs paths.scenario to simulate a feed, or paths.feed to read one")
     scenario = ScenarioConfig.load(cfg.scenario)
     truth, batches = generate(scenario)
-    paths = [Path(out_dir) / "feed.jsonl", Path(out_dir) / "truth.json"]
+    paths = [Path(out_dir) / FEED, Path(out_dir) / "truth.json"]
     write_feed(batches, paths[0])
     save_truth(truth, paths[1], cadence_s=scenario.cadence_s, timezone_name=scenario.timezone)
     stats = {"truth_trips": len(truth), "batches": len(batches), "observations": sum(len(b.ids) for b in batches)}
@@ -132,12 +151,12 @@ def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResu
     cleaning_report.json, and the raw trips CSV to raw_out when given. The
     output is the cleaned TripTable."""
     out_dir = Path(out_dir)
-    stream = parse_snapshot_stream(cfg.feed or out_dir / "feed.jsonl", format=cfg.feed_format)
+    stream = parse_snapshot_stream(cfg.feed or out_dir / FEED, format=cfg.feed_format)
     raw_trips = extract_trips(stream, timezone_name=cfg.timezone)
     if raw_out:
         write_trips_csv(raw_trips, raw_out)
     cleaned, clean_report = clean_trips(raw_trips, cfg.cleaning, cfg.timezone)
-    paths = [out_dir / "trips.csv", out_dir / "cleaning_report.json"]
+    paths = [out_dir / TRIPS, out_dir / "cleaning_report.json"]
     write_trips_csv(cleaned, paths[0])
     _write_json(clean_report.to_dict(), paths[1])
     stages = {
@@ -152,11 +171,16 @@ def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
     """Harvest raw POIs over the cfg grid and, with cfg.densify, run text
     queries over the lowest-density cells of the densify grid; both passes
     share one query budget. Writes pois_raw.json; the output is the raw POI
-    list. On budget exhaustion or a fatal client error nothing is written and
-    the exception's .partial is a StageResult with the POIs and counts of
-    every pass run so far."""
-    pois, stats = _harvest(cfg)  # returns after the client and its recorded corpus are freed
-    path = Path(out_dir) / "pois_raw.json"
+    list. On budget exhaustion or a fatal client error pois_raw.json holds
+    the POIs of every pass run so far, and the exception's .partial is a
+    StageResult with those POIs and their counts."""
+    path = Path(out_dir) / RAW_POIS
+    try:
+        pois, stats = _harvest(cfg)  # returns after the client and its recorded corpus are freed
+    except (BudgetExhausted, ClientError) as exc:
+        save_raw_pois(exc.partial.output, path)
+        exc.partial.paths.append(path)
+        raise
     save_raw_pois(pois, path)
     return StageResult(pois, {"harvest": stats}, [path])
 
@@ -214,7 +238,7 @@ def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
     catalog, report = normalize_catalog(
         raw_pois, load_taxonomy(cfg.taxonomy), load_manual_entries(cfg.manual_pois), load_buffer_specs(cfg.buffers)
     )
-    path = Path(out_dir) / "catalog.json"
+    path = Path(out_dir) / CATALOG
     save_catalog(catalog, path)
     return StageResult(catalog, {"normalize": report.to_dict()}, [path])
 
@@ -226,7 +250,7 @@ def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult
     region_trips, cropped = crop_trips(trips, cfg.bbox)
     associated = associate(region_trips, catalog_index(catalog))
     within = apply_threshold(associated, cfg.cutoff_m)
-    paths = [Path(out_dir) / "assoc.csv", Path(out_dir) / "assoc_within_cutoff.csv"]
+    paths = [Path(out_dir) / ASSOC, Path(out_dir) / WITHIN]
     write_associated_csv(associated, paths[0])
     write_associated_csv(within, paths[1])
     stages = {
@@ -284,6 +308,29 @@ def write_report(cfg: PipelineConfig, within, catalog, out_dir) -> StageResult:
         drill_cells[spec] = drill.total
     stats = {"matrix_total": matrices[0].total, "slots": [s.label for s in TimeSlot], "drilldowns": drill_cells}
     return StageResult(None, {"report": stats}, paths)
+
+
+def run_stage(name: str, cfg: PipelineConfig, out_dir, raw_out=None) -> StageResult:
+    """Run the stage `name` as run_pipeline does, on the inputs earlier
+    stages wrote to out_dir; raw_out is extract's raw trips CSV."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if name == "simulate":
+        return simulate_feed(cfg, out_dir)
+    if name == "extract":
+        return extract_clean_trips(cfg, out_dir, raw_out=raw_out)
+    if name == "harvest":
+        return harvest_pois(cfg, out_dir)
+    if name == "normalize":
+        return normalize_pois(cfg, load_raw_pois(out_dir / RAW_POIS), out_dir)
+    catalog = load_catalog(out_dir / CATALOG)
+    if name == "associate":
+        return associate_trips(cfg, read_trips_csv(out_dir / TRIPS), catalog, out_dir)
+    if name == "sensitivity":
+        return sensitivity_tables(cfg, read_associated_csv(out_dir / ASSOC), catalog, out_dir)
+    if name == "report":
+        return write_report(cfg, read_associated_csv(out_dir / WITHIN), catalog, out_dir)
+    raise ValueError(f"unknown stage {name!r}")
 
 
 def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:

@@ -8,6 +8,7 @@ from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from scootertrips.config import PipelineConfig, load_config
 from scootertrips.errors import BudgetExhausted, InvalidConfig
 from scootertrips.pipeline import harvest_pois
+from scootertrips.poi import load_raw_pois
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
@@ -80,8 +81,8 @@ def test_harvest_budget_exhausted_exit_code(tmp_path):
     config = write_config(tmp_path, paths={"fixtures_dir": str(fixtures)}, query_budget=5)
     out = tmp_path / "out"
     assert stage("harvest", config, out) == EXIT_BUDGET
-    # as in `run`, an exhausted harvest writes no POI file
-    assert not (out / "pois_raw.json").exists()
+    # partial results were still written
+    assert (out / "pois_raw.json").exists()
 
 
 def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
@@ -93,7 +94,8 @@ def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
     stats = partial.stages["harvest"]
     assert stats["raw_pois"] == 38 and stats["queries"] < 1100  # the densify pass spent the rest
     assert "densify" not in stats
-    assert not (tmp_path / "pois_raw.json").exists()
+    assert partial.paths == [tmp_path / "pois_raw.json"]
+    assert len(load_raw_pois(tmp_path / "pois_raw.json")) == 38
 
 
 def test_harvest_normalize_associate_sensitivity_report(tmp_path):

@@ -3,13 +3,13 @@
 of the working tree.
 
 The base tree is extracted with `git archive` into .bench_work/compare/base.
-Each benchmark workload's inputs are written once, at one seed, by the base
+Each benchmark workload's inputs are written once, at seed 1, by the base
 tree's perfbench/workloads.py; both trees then run the same config. The demo
 case runs each tree's own demo/config.json. Per case, the two manifests are
 compared apart from created_at, and every artifact that differs gets its
 first differing line printed.
 
-Usage: python3 tools/compare.py --base <rev> [--seed 1] [--expect-change NAME ...]
+Usage: python3 tools/compare.py --base <rev> [--expect-change NAME ...]
 
 NAME is an artifact file name, a top-level manifest key (config_sha256, ...)
 or one stage's manifest entry (stages.associate, ...).
@@ -36,7 +36,10 @@ WORKLOADS = ("fleet-14d", "poi-dense", "feed-faults")
 def extract_tree(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=subprocess.PIPE)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):  # Python 3.12, 3.11.4+, 3.10.12+
+            tar.extractall(dest, filter="data")
+        else:  # a git archive of this repository is trusted input
+            tar.extractall(dest)
 
 
 def run_tree(tree: Path, config: Path, out: Path) -> None:
@@ -84,7 +87,6 @@ def compare_case(base_out: Path, head_out: Path) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--expect-change", action="append", default=[], metavar="NAME",
                         help="an artifact, a manifest key or stages.<name> allowed to differ (repeatable)")
     args = parser.parse_args(argv)
@@ -98,7 +100,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         inputs = WORK / "inputs" / workload
         subprocess.run([sys.executable, str(base / "perfbench" / "workloads.py"), "--workload", workload,
-                        "--seed", str(args.seed), "--out", str(inputs)], check=True, stdout=subprocess.DEVNULL)
+                        "--seed", "1", "--out", str(inputs)], check=True, stdout=subprocess.DEVNULL)
         cases[workload] = (inputs / "config.json", inputs / "config.json")
 
     unexpected = 0
