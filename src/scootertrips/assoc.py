@@ -25,6 +25,7 @@ from .trips import (
     repr_floats,
     trip_csv_columns,
     trip_table_from_records,
+    write_table_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -140,20 +141,20 @@ def apply_threshold(associated: TripTable, cutoff_m: float = 50.0) -> TripTable:
     return associated.take((associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m))
 
 
-def write_associated_csv(associated: TripTable, path) -> int:
-    poi_ids = np.asarray(associated.poi_ids, dtype=object)
-    columns = trip_csv_columns(associated) + [
-        poi_ids[associated.origin_poi].tolist(),
+def assoc_csv_columns(associated: TripTable) -> list[list[str]]:
+    """The ASSOC_CSV_COLUMNS of every row as text, one list per column."""
+    poi_of = associated.poi_ids.__getitem__
+    return trip_csv_columns(associated) + [
+        list(map(poi_of, associated.origin_poi.tolist())),
         repr_floats(associated.origin_dist),
-        poi_ids[associated.dest_poi].tolist(),
+        list(map(poi_of, associated.dest_poi.tolist())),
         repr_floats(associated.dest_dist),
         np.where(associated.reassigned, "true", "false").tolist(),
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ASSOC_CSV_COLUMNS)
-        writer.writerows(zip(*columns))
-    return len(associated)
+
+
+def write_associated_csv(associated: TripTable, path) -> int:
+    return write_table_csv(associated, path, ASSOC_CSV_COLUMNS, assoc_csv_columns)
 
 
 def read_associated_csv(path) -> TripTable:

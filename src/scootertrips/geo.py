@@ -18,6 +18,8 @@ from .errors import EmptyIndex, InvalidBbox
 from .kernels import haversine_arrays
 
 EARTH_RADIUS_M = 6_371_000.0
+# queries nearest_k_batch scores at once: bounds its (queries, k + 8) candidate temporaries
+QUERY_BLOCK = 4096
 
 
 class GeoPoint(NamedTuple):
@@ -193,6 +195,7 @@ def nearest_k_batch(index: SpatialIndex, lats, lons, k: int) -> tuple[np.ndarray
     (meters, id). The k-d tree proposes k + 8 candidates by chord length; a
     query whose last candidate ties its k-th within 1e-9 m asks again with
     twice as many, so every point tied at the k-th place gets scored.
+    Queries run QUERY_BLOCK at a time, which bounds the candidate temporaries.
     """
     n = len(index)
     if n == 0:
@@ -202,11 +205,20 @@ def nearest_k_batch(index: SpatialIndex, lats, lons, k: int) -> tuple[np.ndarray
     k = min(k, n)
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
-    xyz = to_cartesian_array(lats, lons)
     m = lats.shape[0]
     rows = np.empty((m, k), dtype=np.intp)
     meters = np.empty((m, k), dtype=np.float64)
-    todo = np.arange(m)
+    for lo in range(0, m, QUERY_BLOCK):
+        block = slice(lo, lo + QUERY_BLOCK)
+        _nearest_k_block(index, lats[block], lons[block], k, rows[block], meters[block])
+    return rows, meters
+
+
+def _nearest_k_block(index: SpatialIndex, lats, lons, k: int, rows: np.ndarray, meters: np.ndarray) -> None:
+    """nearest_k_batch of one block of queries, written into rows and meters."""
+    n = len(index)
+    xyz = to_cartesian_array(lats, lons)
+    todo = np.arange(lats.shape[0])
     width = min(n, k + 8)
     while todo.size:
         chord, cand = index.tree.query(xyz[todo], k=width)
@@ -222,4 +234,3 @@ def nearest_k_batch(index: SpatialIndex, lats, lons, k: int) -> tuple[np.ndarray
         meters[done] = np.take_along_axis(dist, order, axis=-1)
         todo = todo[tied]
         width = min(n, 2 * width)
-    return rows, meters

@@ -21,18 +21,18 @@ def haversine_arrays(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def pair_scan(codes, days, lats, lons, eps_m):
-    """Find consecutive same-scooter, same-local-day rows whose position moved.
+def pair_scan(codes, lats, lons, eps_m):
+    """Find consecutive same-scooter rows whose position moved.
 
-    Inputs are observation columns sorted by (scooter code, timestamp).
-    Returns (first-row indices, displacement meters) for every adjacent pair
-    with displacement strictly above eps_m.
+    Inputs are one local day's observation columns sorted by (scooter code,
+    timestamp); the caller cuts the feed into days. Returns (first-row
+    indices, displacement meters) for every adjacent pair with displacement
+    strictly above eps_m.
     """
     n = codes.shape[0]
     if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    same = (codes[1:] == codes[:-1]) & (days[1:] == days[:-1])
-    cand = np.nonzero(same)[0]
+    cand = np.nonzero(codes[1:] == codes[:-1])[0]
     d = haversine_arrays(lats[cand], lons[cand], lats[cand + 1], lons[cand + 1])
     moved = d > eps_m
     return cand[moved].astype(np.int64), d[moved]

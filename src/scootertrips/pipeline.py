@@ -133,10 +133,16 @@ class StageResult:
 
 def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
     """Generate the synthetic feed and its ground truth from paths.scenario;
-    writes feed.jsonl and truth.json."""
+    writes feed.jsonl and truth.json. The scenario's time zone must be the
+    config's."""
     if not cfg.scenario:
         raise InvalidConfig("config needs paths.scenario to simulate a feed, or paths.feed to read one")
     scenario = ScenarioConfig.load(cfg.scenario)
+    if scenario.timezone != cfg.timezone:
+        raise InvalidConfig(
+            f"scenario timezone {scenario.timezone!r} differs from timezone {cfg.timezone!r}; one zone drives "
+            "the simulated clock, the day cut, the hours filter and the report slots"
+        )
     truth, batches = generate(scenario)
     paths = [Path(out_dir) / FEED, Path(out_dir) / "truth.json"]
     write_feed(batches, paths[0])
@@ -360,8 +366,10 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         catalog = record(normalize_pois(cfg, raw_pois, out_dir))
         stage = "associate"
         associated, within = record(associate_trips(cfg, trips, catalog, out_dir))
+        del trips, raw_pois  # no later stage reads them; freed, they do not add to later stages' peaks
         stage = "sensitivity"
         record(sensitivity_tables(cfg, associated, catalog, out_dir))
+        del associated  # the report reads only the trips within the cutoff
         stage = "report"
         record(write_report(cfg, within, catalog, out_dir))
     except Exception as exc:

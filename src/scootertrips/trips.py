@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
+from itertools import groupby
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timezone
 from typing import Iterable, Sequence
@@ -30,6 +31,8 @@ DEFAULT_TIMEZONE = "America/New_York"
 # GPS jitter below this is not a move; well under the 5 m diagnostic band so
 # tiny junk rides still show up in the raw trip set, as the feed produces them.
 COLOCATION_EPS_M = 1.0
+# rows a CSV writer formats at once: bounds the text objects it holds (a few MB)
+WRITE_BLOCK = 4096
 
 TRIP_CSV_COLUMNS = (
     "scooter_id",
@@ -163,8 +166,29 @@ def extract_trips(
     day whose positions differ by more than the colocation epsilon yields one
     trip: origin at the earlier (last-seen) batch, destination at the later.
     Rows are ordered by (start, scooter id, end).
+
+    The stream is scanned one local day at a time, so memory follows the
+    largest day, not the feed. This relies on batch timestamps strictly
+    increasing, as parse_snapshot_stream enforces: each day's batches then
+    arrive together, and every trip start of a day precedes every start of
+    the next, so each day's trips are ordered once and appended.
     """
-    code_of: dict[str, int] = {}  # scooter id -> code, in order of first sighting
+    tz = ZoneInfo(timezone_name)
+    code_of: dict[str, int] = {}  # scooter id -> code, in order of first sighting; kept across days
+
+    def local_day(batch: SnapshotBatch) -> int:
+        return datetime.fromtimestamp(int(batch.ts.timestamp()), tz).toordinal()
+
+    days = [_day_trips(day, code_of, colocation_eps_m) for _, day in groupby(batches, key=local_day)]
+    days = days or [_day_trips((), code_of, colocation_eps_m)]  # typed empty columns
+    # column by column, so only one column's day arrays outlive its concatenation
+    columns = {name: np.concatenate([d.pop(name) for d in days]) for name in list(days[0])}
+    return TripTable(ids=list(code_of), **columns)
+
+
+def _day_trips(batches: Iterable[SnapshotBatch], code_of: dict[str, int], eps_m: float) -> dict[str, np.ndarray]:
+    """The TripTable columns of one local day's batches, rows ordered by
+    (start, scooter id, end); new scooter ids get codes in code_of."""
     batch_ts: list[int] = []
     sizes: list[int] = []
     # growable buffers rather than a list of per-batch arrays: those would leave
@@ -184,40 +208,33 @@ def extract_trips(
         lats.frombytes(batch.lat.tobytes())
         lons.frombytes(batch.lon.tobytes())
     codes_a = np.frombuffer(codes, dtype=np.int64)
-    lat_a = np.frombuffer(lats, dtype=np.float64)
-    lon_a = np.frombuffer(lons, dtype=np.float64)
-    batch_ts_a = np.asarray(batch_ts, dtype=np.int64)
-    batch_days, _ = local_fields(batch_ts_a, timezone_name)
-    ts_a = np.repeat(batch_ts_a, sizes)
-    days_a = np.repeat(batch_days, sizes)
-
     order = np.argsort(codes_a, kind="stable")  # batch order already sorts ts within a scooter
     codes_s = codes_a[order]
-    ts_s = ts_a[order]
-    lat_s = np.ascontiguousarray(lat_a[order])
-    lon_s = np.ascontiguousarray(lon_a[order])
-    days_s = days_a[order]
-    del order, codes_a, ts_a, lat_a, lon_a, days_a, codes, lats, lons  # the scan needs only the sorted copies
+    ts_s = np.repeat(np.asarray(batch_ts, dtype=np.int64), sizes)[order]
+    lat_s = np.frombuffer(lats, dtype=np.float64)[order]
+    lon_s = np.frombuffer(lons, dtype=np.float64)[order]
+    del order, codes_a, codes, lats, lons  # the scan needs only the sorted copies
 
-    pair_idx, pair_dist = kernels.pair_scan(codes_s, days_s, lat_s, lon_s, colocation_eps_m)
+    pair_idx, pair_dist = kernels.pair_scan(codes_s, lat_s, lon_s, eps_m)
     nxt = pair_idx + 1
+    # codes follow first sighting; the row order needs the ids' string order,
+    # which a rank over the ids seen so far keeps
     ids = list(code_of)
-    # codes follow first sighting; the row order needs the ids' string order
     rank = np.empty(len(ids), dtype=np.int64)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     scooter, start, end = codes_s[pair_idx], ts_s[pair_idx], ts_s[nxt]
-    table = TripTable(
-        ids=ids,
-        scooter=scooter,
-        start=start,
-        end=end,
-        origin_lat=lat_s[pair_idx],
-        origin_lon=lon_s[pair_idx],
-        dest_lat=lat_s[nxt],
-        dest_lon=lon_s[nxt],
-        displacement=pair_dist,
-    )
-    return table.take(np.lexsort((end, rank[scooter], start)))
+    rows = np.lexsort((end, rank[scooter], start))
+    columns = {
+        "scooter": scooter,
+        "start": start,
+        "end": end,
+        "origin_lat": lat_s[pair_idx],
+        "origin_lon": lon_s[pair_idx],
+        "dest_lat": lat_s[nxt],
+        "dest_lon": lon_s[nxt],
+        "displacement": pair_dist,
+    }
+    return {name: column[rows] for name, column in columns.items()}
 
 
 def clean_trips(
@@ -288,12 +305,19 @@ def trip_csv_columns(trips: TripTable) -> list[list[str]]:
     ]
 
 
-def write_trips_csv(trips: TripTable, path) -> int:
+def write_table_csv(table: TripTable, path, header: Sequence[str], columns) -> int:
+    """Write header, then the rows of table as text, WRITE_BLOCK rows at a
+    time; columns maps a block of table to its text columns."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRIP_CSV_COLUMNS)
-        writer.writerows(zip(*trip_csv_columns(trips)))
-    return len(trips)
+        writer.writerow(header)
+        for lo in range(0, len(table), WRITE_BLOCK):
+            writer.writerows(zip(*columns(table.take(slice(lo, lo + WRITE_BLOCK)))))
+    return len(table)
+
+
+def write_trips_csv(trips: TripTable, path) -> int:
+    return write_table_csv(trips, path, TRIP_CSV_COLUMNS, trip_csv_columns)
 
 
 def float_column(records: list[dict], key: str) -> np.ndarray:

@@ -13,7 +13,9 @@ from scootertrips.assoc import (
 )
 from scootertrips.errors import EmptyCatalog
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, offset_azimuthal
+from scootertrips import trips as trips_module
 from scootertrips.poi import Poi
+from scootertrips.trips import WRITE_BLOCK
 
 from conftest import CITY, make_trip, rows, table_of
 
@@ -226,6 +228,24 @@ def test_assoc_csv_round_trip(tmp_path):
     path = tmp_path / "assoc.csv"
     write_associated_csv(table_of(items), path)
     assert rows(read_associated_csv(path)) == items
+
+
+def test_assoc_csv_round_trip_across_write_blocks(tmp_path, monkeypatch):
+    # rows 2j-1 and 2j share a start, so one start repeats across the first block edge
+    items = [
+        make_trip(f"S{i % 7}", start_offset_s=600 * ((i + 1) // 2))._replace(
+            origin_poi=f"P{i % 5}", origin_dist_m=i / 8, dest_poi=f"P{i % 3}", dest_dist_m=60 - i / 8,
+            origin_reassigned=i % 4 == 0,
+        )
+        for i in range(WRITE_BLOCK + 5)
+    ]
+    assert items[WRITE_BLOCK - 1].start_ts == items[WRITE_BLOCK].start_ts
+    path = tmp_path / "assoc.csv"
+    write_associated_csv(table_of(items), path)
+    assert rows(read_associated_csv(path)) == items
+    monkeypatch.setattr(trips_module, "WRITE_BLOCK", len(items))
+    write_associated_csv(table_of(items), tmp_path / "one_block.csv")
+    assert path.read_bytes() == (tmp_path / "one_block.csv").read_bytes()
 
 
 _EDGES = [0.0, 25.0, 50.0]  # distances drawn on a threshold exercise the inclusive edge

@@ -225,10 +225,30 @@ def test_chain_reproduces_run_that_crops(tmp_path, capsys):
     assert stages["crop"]["removed_outside_region"] >= 1
 
 
+def chicago_scenario(tmp_path) -> Path:
+    """The demo scenario simulated on Chicago wall clock."""
+    scenario = json.loads((DEMO / "scenario.json").read_text())
+    scenario["timezone"] = "America/Chicago"
+    path = tmp_path / "scenario_chicago.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
 def test_chain_reproduces_run_in_another_timezone(tmp_path, capsys):
-    config = write_config(tmp_path, timezone="America/Chicago")
+    paths = {"scenario": str(chicago_scenario(tmp_path)), "fixtures_dir": str(DEMO / "fixtures")}
+    config = write_config(tmp_path, paths=paths, timezone="America/Chicago")
     stages = assert_chain_reproduces_run(config, tmp_path, capsys)
     assert stages["clean"]["kept"] > 0
+
+
+def test_scenario_in_another_timezone_is_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, timezone="America/Chicago")  # demo scenario: America/New_York
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err
+    assert "America/New_York" in err and "America/Chicago" in err
+    assert not (out / "feed.jsonl").exists()
 
 
 def test_config_rejects_a_second_timezone(tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scootertrips.errors import EmptyIndex, InvalidBbox
+from scootertrips.kernels import haversine_arrays
 from scootertrips.geo import (
     EARTH_RADIUS_M,
+    QUERY_BLOCK,
     Bbox,
     GeoPoint,
     build_spatial_index,
@@ -146,6 +148,28 @@ def nearest_pairs(index, queries, k):
 
 
 class TestNearestK:
+    def test_blocks_match_brute_force(self):
+        rng = np.random.default_rng(11)
+        stack = GeoPoint(33.77, -84.39)
+        # 12 points on one spot: all k + 8 first candidates tie, which forces a re-query
+        pts = [(f"P{i:03d}", GeoPoint(float(rng.uniform(33.7484, 33.7892)), float(rng.uniform(-84.4056, -84.3597))))
+               for i in range(200)] + [(f"T{i:02d}", stack) for i in range(12)]
+        index = build_spatial_index(pts)
+        m = QUERY_BLOCK + 50
+        q_lat, q_lon = rng.uniform(33.7484, 33.7892, m), rng.uniform(-84.4056, -84.3597, m)
+        tie = QUERY_BLOCK + 7  # in the second block
+        q_lat[tie], q_lon[tie] = stack
+        rows, meters = nearest_k_batch(index, q_lat, q_lon, 2)
+        # every query against every point, ordered by (meters, id)
+        all_m = haversine_arrays(q_lat[:, None], q_lon[:, None], index.lats[None, :], index.lons[None, :])
+        want = np.lexsort((np.broadcast_to(index.rank, all_m.shape), all_m), axis=-1)[:, :2]
+        assert np.array_equal(rows, want)
+        assert np.allclose(meters, np.take_along_axis(all_m, want, axis=-1), rtol=0, atol=1e-6)
+        assert [index.ids[r] for r in rows[tie]] == ["T00", "T01"]
+        for q in (QUERY_BLOCK - 1, QUERY_BLOCK, tie):
+            got = [(index.ids[r], d) for r, d in zip(rows[q], meters[q])]
+            assert got == brute_force_nearest(pts, GeoPoint(q_lat[q], q_lon[q]), 2)
+
     def test_singleton(self, city):
         index = build_spatial_index([("A", city)])
         (result,) = nearest_pairs(index, [GeoPoint(33.78, -84.40)], 1)

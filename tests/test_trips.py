@@ -1,14 +1,19 @@
 import csv
-from datetime import datetime, timedelta, timezone
+import tracemalloc
+from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scootertrips.errors import InvalidConfig, MalformedRecord
+from scootertrips import trips as trips_module
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
+from scootertrips.ingest import SnapshotBatch
 from scootertrips.trips import (
+    WRITE_BLOCK,
     CleaningRules,
     clean_trips,
     crop_trips,
@@ -195,6 +200,18 @@ def test_trips_csv_round_trip(tmp_path):
     assert rows(read_trips_csv(path)) == trips
 
 
+def test_trips_csv_round_trip_across_write_blocks(tmp_path, monkeypatch):
+    # rows 2j-1 and 2j share a start, so one start repeats across the first block edge
+    trips = [make_trip(f"S{i % 7}", CITY, B500, 600 * ((i + 1) // 2)) for i in range(WRITE_BLOCK + 5)]
+    assert trips[WRITE_BLOCK - 1].start_ts == trips[WRITE_BLOCK].start_ts
+    path = tmp_path / "trips.csv"
+    write_trips_csv(table_of(trips), path)
+    assert rows(read_trips_csv(path)) == trips
+    monkeypatch.setattr(trips_module, "WRITE_BLOCK", len(trips))
+    write_trips_csv(table_of(trips), tmp_path / "one_block.csv")
+    assert path.read_bytes() == (tmp_path / "one_block.csv").read_bytes()
+
+
 def test_trips_csv_bad_timestamp_reports_its_line(tmp_path):
     path = tmp_path / "trips.csv"
     write_trips_csv(table_of([make_trip("S1"), make_trip("S2"), make_trip("S3")]), path)
@@ -277,3 +294,70 @@ def test_extract_matches_per_pair_reference(feed, late, data):
     want = reference_extract(batches)
     assert [t[:5] for t in got] == [t[:5] for t in want]
     assert [t.displacement_m for t in got] == pytest.approx([t.displacement_m for t in want], rel=1e-9)
+
+
+def moving_feed(days: int, fleet: int = 400, cadence_s: int = 600):
+    """fleet scooters seen every cadence_s for days local days from New York
+    midnight, 2019-02-04; each tick about 2% of them move ~550 m north."""
+    rng = np.random.default_rng(days)
+    ids = [f"S{i:03d}" for i in range(fleet)]
+    lat = CITY.lat + rng.uniform(-0.01, 0.01, fleet)
+    lon = CITY.lon + rng.uniform(-0.01, 0.01, fleet)
+    midnight = datetime(2019, 2, 4, 5, 0, tzinfo=UTC)
+    for tick in range(days * 86400 // cadence_s):
+        lat = lat + 0.005 * (rng.random(fleet) < 0.02)
+        yield SnapshotBatch(midnight + timedelta(seconds=tick * cadence_s), ids, lat, lon)
+
+
+def extract_peak_bytes(days: int) -> int:
+    """Peak traced allocation, numpy buffers included, while extracting moving_feed(days)."""
+    tracemalloc.start()
+    try:
+        trips = extract_trips(moving_feed(days))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trips) > 1000 * days
+    return peak
+
+
+def test_extract_memory_does_not_grow_with_feed_days():
+    two, eight = extract_peak_bytes(2), extract_peak_bytes(8)
+    assert eight <= 1.5 * two, f"peak {eight / 1e6:.1f} MB for 8 days, {two / 1e6:.1f} MB for 2"
+
+
+# the 2019 US DST changes (23 and 25 hour local days), their eves, and a plain winter day
+_DST_STARTS = [date(2019, 3, 9), date(2019, 3, 10), date(2019, 11, 2), date(2019, 11, 3), date(2019, 2, 4)]
+
+
+@given(
+    start=st.sampled_from(_DST_STARTS),
+    tz_name=st.sampled_from(["America/New_York", "America/Chicago"]),
+    days=st.integers(1, 3),
+    cadence_s=st.sampled_from([300, 600, 1800]),
+    phase_s=st.integers(0, 1799),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_feed_split_at_local_midnight_extracts_as_the_whole(start, tz_name, days, cadence_s, phase_s, seed):
+    tz = ZoneInfo(tz_name)
+    midnights = [datetime.combine(start + timedelta(days=d), time(0), tzinfo=tz) for d in range(days + 1)]
+    rng = np.random.default_rng(seed)
+    spots = np.array(_SPOTS)
+    where = rng.integers(0, len(_SPOTS), len(_IDS))
+    # from two hours before the first local midnight to two hours after the last
+    ts = midnights[0].astimezone(UTC) - timedelta(hours=2) + timedelta(seconds=phase_s)
+    end = midnights[-1].astimezone(UTC) + timedelta(hours=2)
+    batches = []
+    while ts < end:
+        moved = rng.random(len(_IDS)) < 0.3
+        where = np.where(moved, rng.integers(0, len(_SPOTS), len(_IDS)), where)
+        seen = np.nonzero(rng.random(len(_IDS)) < 0.8)[0]
+        batches.append(SnapshotBatch(ts, [_IDS[i] for i in seen], spots[where[seen], 0], spots[where[seen], 1]))
+        ts += timedelta(seconds=cadence_s)
+    parts = [[] for _ in range(len(midnights) + 1)]
+    for b in batches:  # part i holds the batches after i of the local midnights
+        parts[sum(b.ts >= m for m in midnights)].append(b)
+    whole = rows(extract_trips(batches, timezone_name=tz_name))
+    assert whole
+    assert whole == [t for part in parts for t in rows(extract_trips(part, timezone_name=tz_name))]

@@ -9,11 +9,18 @@ case runs each tree's own demo/config.json. Per case, the two manifests are
 compared apart from created_at, and every artifact that differs gets its
 first differing line printed.
 
-Usage: python3 tools/compare.py --base <rev> [--expect-change NAME ...]
+Usage: python3 tools/compare.py --base <rev> [--expect-change NAME ...] [--time N]
 
 NAME is an artifact file name, a top-level manifest key (config_sha256, ...)
 or one stage's manifest entry (stages.associate, ...).
 Exits 1 on any difference not named with --expect-change, 0 otherwise.
+
+--time N runs N base/change pairs per case, alternating which side runs
+first (base first in the first pair), and prints each run's wall time
+(run_s) and peak RSS (peak_rss_mb, the child's ru_maxrss), then the median
+of the paired change/base run_s ratios. On a shared host, run times taken
+hours apart are not comparable; the ratios of adjacent pairs are.
+The artifacts of the last pair are compared.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ import io
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,13 +51,22 @@ def extract_tree(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_tree(tree: Path, config: Path, out: Path) -> None:
+def run_tree(tree: Path, config: Path, out: Path) -> dict:
+    """Run `scootertrips run` from tree into a fresh out; returns its run_s and peak_rss_mb."""
+    shutil.rmtree(out, ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     argv = [sys.executable, "-m", "scootertrips.cli", "--log-level", "WARNING", "run",
             "--config", str(config), "--out-dir", str(out)]
-    proc = subprocess.run(argv, cwd=tree, env=env, stderr=subprocess.PIPE, text=True)
+    started = time.perf_counter()
+    with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage, not all children's
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    run_s = time.perf_counter() - started
     if proc.returncode != 0:
-        raise SystemExit(f"compare: run in {tree} on {config} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"compare: run in {tree} on {config} exited {proc.returncode}:\n{stderr}")
+    return {"run_s": round(run_s, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 3)}
 
 
 def first_difference(a: Path, b: Path) -> str:
@@ -84,11 +102,24 @@ def compare_case(base_out: Path, head_out: Path) -> dict[str, str]:
     return diffs
 
 
+def print_timing(pairs: list[dict]) -> None:
+    for i, pair in enumerate(pairs, 1):
+        b, c = pair["base"], pair["change"]
+        print(f"  pair {i} ({pair['first']} first): run_s {b['run_s']:.3f} -> {c['run_s']:.3f}, "
+              f"peak_rss_mb {b['peak_rss_mb']:.1f} -> {c['peak_rss_mb']:.1f}")
+    ratios = [p["change"]["run_s"] / p["base"]["run_s"] for p in pairs]
+    faster = sum(r < 1.0 for r in ratios)
+    print(f"  run_s paired change/base ratio: median {statistics.median(ratios):.3f} "
+          f"(change faster in {faster}/{len(pairs)})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
     parser.add_argument("--expect-change", action="append", default=[], metavar="NAME",
                         help="an artifact, a manifest key or stages.<name> allowed to differ (repeatable)")
+    parser.add_argument("--time", type=int, default=0, metavar="N",
+                        help="run N alternating base/change pairs per case and report run_s and peak_rss_mb")
     args = parser.parse_args(argv)
 
     shutil.rmtree(WORK, ignore_errors=True)
@@ -106,10 +137,18 @@ def main(argv=None) -> int:
     unexpected = 0
     for case, (base_config, head_config) in cases.items():
         outs = WORK / "base-out" / case, WORK / "change-out" / case
-        run_tree(base, base_config, outs[0])
-        run_tree(ROOT, head_config, outs[1])
+        sides = (base, base_config, outs[0]), (ROOT, head_config, outs[1])
+        pairs = []
+        for i in range(max(args.time, 1)):
+            first = i % 2  # 0: base first
+            pair = {"first": ("base", "change")[first]}
+            for side in (first, 1 - first):
+                pair[("base", "change")[side]] = run_tree(*sides[side])
+            pairs.append(pair)
         diffs = compare_case(*outs)
         print(f"{case}: " + ("identical" if not diffs else f"{len(diffs)} difference(s)"))
+        if args.time:
+            print_timing(pairs)
         for name, text in diffs.items():
             expected = name in args.expect_change
             unexpected += not expected
