@@ -7,12 +7,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from datetime import time
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint
 from .ingest import FORMATS
+from .purpose import TimeSlot
 from .trips import CleaningRules, DEFAULT_TIMEZONE
 
 CONFIG_VERSION = 1
@@ -179,7 +181,14 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
             f"cleaning.timezone {cleaning['timezone']!r} differs from timezone {tz!r}; one zone drives "
             "the day cut, the hours filter and the report slots"
         )
-    kwargs["cleaning"] = CleaningRules.from_dict(cleaning)
+    kwargs["cleaning"] = rules = CleaningRules.from_dict(cleaning)
+    # a kept trip starts in [day_start, day_end); the report puts every one in a time slot
+    slots_start = time(*divmod(min(s.start_minute for s in TimeSlot), 60))
+    slots_end = time(*divmod(max(s.end_minute for s in TimeSlot), 60))
+    if rules.day_start < slots_start:
+        raise InvalidConfig(f"cleaning.day_start {rules.day_start} is before {slots_start}, where the report's time slots begin")
+    if rules.day_end > slots_end:
+        raise InvalidConfig(f"cleaning.day_end {rules.day_end} is after {slots_end}, where the report's time slots end")
     if "thresholds" in raw:
         kwargs["thresholds"] = parse_thresholds(raw["thresholds"])
     try:

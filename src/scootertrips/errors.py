@@ -44,12 +44,11 @@ class EmptyCatalog(PipelineError):
 
 
 class BudgetExhausted(PipelineError):
-    """Query budget used up (CLI exit code 3). May carry partial harvest results."""
+    """Query budget used up (CLI exit code 3)."""
 
-    def __init__(self, max_queries: int, partial=None):
+    def __init__(self, max_queries: int):
         super().__init__(f"query budget of {max_queries} exhausted")
         self.max_queries = max_queries
-        self.partial = partial
 
 
 class ClientError(PipelineError):

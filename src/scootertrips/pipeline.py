@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -177,59 +176,47 @@ def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
     """Harvest raw POIs over the cfg grid and, with cfg.densify, run text
     queries over the lowest-density cells of the densify grid; both passes
     share one query budget. Writes pois_raw.json; the output is the raw POI
-    list. On budget exhaustion or a fatal client error pois_raw.json holds
-    the POIs of every pass run so far, and the exception's .partial is a
-    StageResult with those POIs and their counts."""
+    list. On budget exhaustion or a client error pois_raw.json holds the
+    POIs found so far and the error propagates."""
     path = Path(out_dir) / RAW_POIS
+    pois: list = []
     try:
-        pois, stats = _harvest(cfg)  # returns after the client and its recorded corpus are freed
-    except (BudgetExhausted, ClientError) as exc:
-        save_raw_pois(exc.partial.output, path)
-        exc.partial.paths.append(path)
+        stats = _harvest(cfg, pois)  # returns after the client and its recorded corpus are freed
+    except (BudgetExhausted, ClientError):
+        save_raw_pois(pois, path)
         raise
     save_raw_pois(pois, path)
     return StageResult(pois, {"harvest": stats}, [path])
 
 
-def _harvest(cfg: PipelineConfig) -> tuple[list, dict]:
-    fixtures_dir = os.environ.get("SCOOTER_FIXTURES_DIR") or cfg.fixtures_dir
-    if not fixtures_dir:
-        raise InvalidConfig("no fixture directory: set paths.fixtures_dir or SCOOTER_FIXTURES_DIR")
-    client = FixturePlacesClient(fixtures_dir)
+def _harvest(cfg: PipelineConfig, pois: list) -> dict:
+    """Run the harvest passes, appending to pois; returns the stage counts."""
+    if not cfg.fixtures_dir:
+        raise InvalidConfig("no fixture directory: set paths.fixtures_dir")
+    client = FixturePlacesClient(cfg.fixtures_dir)
     plan = load_plan(cfg.plan or default_plan_path())
     budget = QueryBudget(cfg.query_budget)
-    pois: list = []
-    stats: dict = {}
-
-    def run_pass(grid, entries, cells=None):
-        try:
-            result = harvest(client, grid, entries, budget, cells=cells)
-        except (BudgetExhausted, ClientError) as exc:
-            exc.partial = StageResult(pois + exc.partial.pois, {"harvest": stats})
-            raise
-        pois.extend(result.pois)
-        return result
-
-    base = run_pass(make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan)
-    stats.update({
+    queries, truncated = harvest(client, make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan, budget, pois)
+    stats = {
         "grid": [cfg.harvest_rows, cfg.harvest_cols],
-        "queries": len(base.report.queries),
-        "truncated_queries": base.report.truncated_queries,
-        "raw_pois": len(base.pois),
-    })
+        "queries": queries,
+        "truncated_queries": truncated,
+        "raw_pois": len(pois),
+    }
     if cfg.densify:
         grid = make_grid(cfg.bbox, cfg.densify_rows, cfg.densify_cols)
         cells = select_low_density_cells(grid, pois, cfg.densify_fraction)
         densify_plan = [QueryPlanEntry(kind="text", term=q) for q in DENSIFY_TEXT_QUERIES]
-        dense = run_pass(grid, densify_plan, cells)
+        queries, _ = harvest(client, grid, densify_plan, budget, pois, cells)
         stats["densify"] = {
             "grid": [cfg.densify_rows, cfg.densify_cols],
             "cells_requeried": len(cells),
-            "queries": len(dense.report.queries),
-            "raw_pois": len(dense.pois),
+            "queries": queries,
+            "raw_pois": len(pois) - stats["raw_pois"],
         }
     stats["budget_used"] = budget.used
-    return pois, stats
+    stats["unrecorded_queries"] = client.misses
+    return stats
 
 
 def taxonomy_groups(cfg: PipelineConfig) -> list[str]:

@@ -1,8 +1,11 @@
-"""Places-style search clients and the grid harvest driver.
+"""The Places harvest: a recorded-fixture client, one query function and the
+grid harvest loop.
 
-Harvests query a recorded-fixture client. Fixtures map a canonical query string
-to the recorded response JSON, so harvests replay deterministically with no
-credentials.
+Fixtures map a canonical query string to the recorded response JSON, so
+harvests replay deterministically with no credentials. `harvest` queries
+every (cell, plan entry) pair, re-queries capped cells on a finer grid and
+appends what it finds to the caller's list, which therefore holds every POI
+found so far when the budget runs out or the client fails.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +26,8 @@ log = logging.getLogger(__name__)
 MAX_RESULTS_PER_QUERY = 20  # server-side cap regardless of how many places exist
 RETRIABLE_STATUSES = ("OVER_QUERY_LIMIT", "UNKNOWN_ERROR")
 DENSIFY_TEXT_QUERIES = ("condo", "lodging", "park", "restaurant", "subway station")
+RETRIES = 2  # re-attempts of a query answered with a retriable status
+MAX_SUBDIVISION_DEPTH = 2  # 2x2 re-query levels below a capped grid cell
 
 
 @dataclass
@@ -64,13 +69,14 @@ def canonical_query(kind: str, center: GeoPoint, radius_m: float, term: str) -> 
 class FixturePlacesClient:
     """Replays recorded responses from a directory of JSON maps.
 
-    Unrecorded queries return ZERO_RESULTS by default (the recorded corpus is
-    assumed to cover everything that exists); pass strict=True to error instead.
+    An unrecorded query returns ZERO_RESULTS, as a real empty answer would,
+    and counts in `misses`: the harvest stage reports it as
+    unrecorded_queries, so a grid or bbox that differs from the recording
+    shows up as misses close to the query count.
     """
 
-    def __init__(self, fixtures_dir, strict: bool = False):
+    def __init__(self, fixtures_dir):
         self.fixtures_dir = Path(fixtures_dir)
-        self.strict = strict
         self.misses = 0
         self._responses: dict[str, dict] = {}
         files = sorted(self.fixtures_dir.glob("*.json"))
@@ -84,153 +90,96 @@ class FixturePlacesClient:
             self._responses.update(blob)
 
     def search(self, kind: str, center: GeoPoint, radius_m: float, term: str) -> dict:
-        key = canonical_query(kind, center, radius_m, term)
-        hit = self._responses.get(key)
+        hit = self._responses.get(canonical_query(kind, center, radius_m, term))
         if hit is None:
-            if self.strict:
-                raise ClientError(f"NO_FIXTURE:{key}", retriable=False)
             self.misses += 1
             return {"status": "ZERO_RESULTS", "results": []}
         return hit
 
 
-def _parse_results(payload: dict, query_type: str, source: str) -> list[RawPoi]:
-    status = payload.get("status", "OK")
-    if status not in ("OK", "ZERO_RESULTS"):
-        raise ClientError(status, retriable=status in RETRIABLE_STATUSES)
+def _malformed(entry: QueryPlanEntry, center: GeoPoint, radius_m: float, what: str) -> ClientError:
+    key = canonical_query(entry.kind, center, radius_m, entry.term)
+    return ClientError(f"MALFORMED_RESPONSE {key}: {what}", retriable=False)
+
+
+def query_places(client, entry: QueryPlanEntry, center: GeoPoint, radius_m: float, budget: QueryBudget) -> list[RawPoi]:
+    """Run one plan entry at center within radius_m and parse its first
+    MAX_RESULTS_PER_QUERY results; a full page means the server cap was hit.
+
+    Every attempt spends budget; a retriable status is retried up to RETRIES
+    times. Nearby results take the term as query type, text results the
+    normalized query. A response that is not an object with a results
+    list, or a result without a usable location, place id or types list, is
+    a fatal ClientError naming the query (and the field).
+    """
+    for attempt in range(RETRIES + 1):
+        budget.spend()
+        payload = client.search(entry.kind, center, radius_m, entry.term)
+        if not isinstance(payload, dict) or not isinstance(payload.get("results", []), list):
+            raise _malformed(entry, center, radius_m, "not an object with a results list")
+        status = payload.get("status", "OK")
+        if status in ("OK", "ZERO_RESULTS"):
+            break
+        retriable = status in RETRIABLE_STATUSES
+        if not retriable or attempt == RETRIES:
+            raise ClientError(status, retriable=retriable)
+        log.warning("retriable client error %s; retry %d/%d", status, attempt + 1, RETRIES)
+    query_type = entry.term if entry.kind == "nearby" else normalize_query_type(entry.term)
     out = []
     for rec in payload.get("results", [])[:MAX_RESULTS_PER_QUERY]:
-        loc = rec["geometry"]["location"]
-        lat, lon = float(loc["lat"]), float(loc["lng"])
+        field = "geometry.location"  # the field being read, for the error message
+        try:
+            loc = rec["geometry"]["location"]
+            field = "geometry.location.lat"
+            lat = float(loc["lat"])
+            field = "geometry.location.lng"
+            lon = float(loc["lng"])
+            field = "place_id"
+            place_id = str(rec["place_id"])
+            field = "types"
+            types = tuple(rec.get("types", ()))
+        except (KeyError, TypeError, ValueError):
+            raise _malformed(entry, center, radius_m, f"no usable {field} in a result") from None
         if not is_valid_point(lat, lon):
-            log.warning("skipping result %s with out-of-range location", rec.get("place_id"))
+            log.warning("skipping result %s with out-of-range location", place_id)
             continue
         out.append(
             RawPoi(
-                place_id=str(rec["place_id"]),
+                place_id=place_id,
                 name=str(rec.get("name", "")),
                 position=GeoPoint(lat, lon),
-                predefined_types=tuple(rec.get("types", ())),
+                predefined_types=types,
                 vicinity=str(rec.get("vicinity", "")),
                 query_type=query_type,
-                source=source,
+                source=entry.kind,
             )
         )
     return out
 
 
-def fetch_nearby(client, center: GeoPoint, radius_m: float, type_: str, budget: QueryBudget) -> tuple[list[RawPoi], bool]:
-    """One nearby search; truncated=True means the 20-result cap was hit."""
-    budget.spend()
-    payload = client.search("nearby", center, radius_m, type_)
-    pois = _parse_results(payload, query_type=type_, source="nearby")
-    return pois, len(pois) == MAX_RESULTS_PER_QUERY
+def harvest(client, grid: GridSpec, plan: Sequence[QueryPlanEntry], budget: QueryBudget, pois: list[RawPoi],
+            cells: Iterable[int] | None = None) -> tuple[int, int]:
+    """Query every (cell, plan entry) pair at the cell center with its
+    circumradius and append the results to pois; returns (queries, queries
+    that hit the result cap).
 
-
-def fetch_text(client, query: str, center: GeoPoint, radius_m: float, budget: QueryBudget) -> list[RawPoi]:
-    """One text search; results may lack a matching predefined type."""
-    budget.spend()
-    payload = client.search("text", center, radius_m, query)
-    return _parse_results(payload, query_type=normalize_query_type(query), source="text")
-
-
-@dataclass
-class QueryRecord:
-    cell: tuple[int, int]
-    depth: int
-    kind: str
-    term: str
-    center: GeoPoint
-    radius_m: float
-    results: int
-    truncated: bool
-
-
-@dataclass
-class HarvestReport:
-    queries: list[QueryRecord] = field(default_factory=list)
-    truncated_queries: int = 0
-    failed: bool = False
-    failure: str | None = None
-
-
-@dataclass
-class HarvestResult:
-    pois: list[RawPoi]
-    report: HarvestReport
-
-
-def _run_query(client, cell: GridCell, entry: QueryPlanEntry, budget: QueryBudget, depth: int, retries: int):
-    attempt = 0
-    while True:
-        try:
-            if entry.kind == "nearby":
-                pois, truncated = fetch_nearby(client, cell.center, cell.circumradius_m, entry.term, budget)
-            else:
-                pois = fetch_text(client, entry.term, cell.center, cell.circumradius_m, budget)
-                truncated = len(pois) == MAX_RESULTS_PER_QUERY
-            return pois, truncated
-        except ClientError as exc:
-            if exc.retriable and attempt < retries:
-                attempt += 1
-                log.warning("retriable client error %s; retry %d/%d", exc.status, attempt, retries)
-                continue
-            raise
-
-
-def harvest(
-    client,
-    grid: GridSpec,
-    plan: Sequence[QueryPlanEntry],
-    budget: QueryBudget,
-    *,
-    cells: Iterable[int] | None = None,
-    max_subdivision_depth: int = 2,
-    retries: int = 2,
-) -> HarvestResult:
-    """Query every (cell, plan entry) pair at the cell center with its circumradius.
-
-    Queries that hit the 20-result cap are re-run on a 2x2 subdivision of the
-    cell, up to max_subdivision_depth, while budget allows. On budget
-    exhaustion or a fatal client error the partial result rides along on the
-    raised exception (.partial).
+    A capped query is re-run on a 2x2 subdivision of its cell, down to
+    MAX_SUBDIVISION_DEPTH. On budget exhaustion or a client error the
+    exception propagates and pois holds every result found so far.
     """
     if not plan:
         raise InvalidConfig("harvest plan must not be empty")
-    report = HarvestReport()
-    pois: list[RawPoi] = []
-    cell_list = list(grid.cells) if cells is None else [grid.cells[i] for i in cells]
+    cell_list = grid.cells if cells is None else [grid.cells[i] for i in cells]
     queue: list[tuple[GridCell, QueryPlanEntry, int]] = [(c, e, 0) for c in cell_list for e in plan]
-    pos = 0
-    try:
-        while pos < len(queue):
-            cell, entry, depth = queue[pos]
-            pos += 1
-            got, truncated = _run_query(client, cell, entry, budget, depth, retries)
-            pois.extend(got)
-            report.queries.append(
-                QueryRecord(
-                    cell=(cell.row, cell.col),
-                    depth=depth,
-                    kind=entry.kind,
-                    term=entry.term,
-                    center=cell.center,
-                    radius_m=cell.circumradius_m,
-                    results=len(got),
-                    truncated=truncated,
-                )
-            )
-            if truncated:
-                report.truncated_queries += 1
-                if depth < max_subdivision_depth:
-                    for sub in subdivide_cell(cell):
-                        queue.append((sub, entry, depth + 1))
-    except (BudgetExhausted, ClientError) as exc:
-        report.failed = True
-        report.failure = str(exc)
-        exc.partial = HarvestResult(pois=pois, report=report)
-        raise
-    return HarvestResult(pois=pois, report=report)
+    truncated = 0
+    for cell, entry, depth in queue:  # the loop also visits the subdivisions appended below
+        got = query_places(client, entry, cell.center, cell.circumradius_m, budget)
+        pois.extend(got)
+        if len(got) == MAX_RESULTS_PER_QUERY:
+            truncated += 1
+            if depth < MAX_SUBDIVISION_DEPTH:
+                queue.extend((sub, entry, depth + 1) for sub in subdivide_cell(cell))
+    return len(queue), truncated
 
 
 def select_low_density_cells(grid: GridSpec, pois: Sequence[RawPoi], fraction: float = 0.25) -> list[int]:

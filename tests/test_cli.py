@@ -7,8 +7,9 @@ import pytest
 from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from scootertrips.config import PipelineConfig, load_config
 from scootertrips.errors import BudgetExhausted, InvalidConfig
+from scootertrips.geo import make_grid
 from scootertrips.pipeline import harvest_pois
-from scootertrips.poi import load_raw_pois
+from scootertrips.poi import canonical_query, load_raw_pois
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
@@ -87,15 +88,44 @@ def test_harvest_budget_exhausted_exit_code(tmp_path):
 
 def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
     cfg = PipelineConfig(fixtures_dir=str(DEMO / "fixtures"), query_budget=1100, densify=True)
-    with pytest.raises(BudgetExhausted) as err:
+    with pytest.raises(BudgetExhausted):
         harvest_pois(cfg, tmp_path)
-    partial = err.value.partial
-    assert len(partial.output) == 38
-    stats = partial.stages["harvest"]
-    assert stats["raw_pois"] == 38 and stats["queries"] < 1100  # the densify pass spent the rest
-    assert "densify" not in stats
-    assert partial.paths == [tmp_path / "pois_raw.json"]
-    assert len(load_raw_pois(tmp_path / "pois_raw.json")) == 38
+    assert len(load_raw_pois(tmp_path / "pois_raw.json")) == 38  # the base pass; densify spent the rest
+
+
+def two_cell_harvest(tmp_path, second_cell: dict | None) -> Path:
+    """A config harvesting one nearby 'bar' query on each cell of a 2x1 grid
+    over the demo bbox, with one recorded 'bar' result in the first cell and
+    the given recorded response, or none, in the second."""
+    first, second = make_grid(PipelineConfig().bbox, 2, 1).cells
+    bar = {"place_id": "b0", "name": "b0", "types": ["bar"], "vicinity": "1 Main St",
+           "geometry": {"location": {"lat": first.center.lat, "lng": first.center.lon}}}
+    responses = {canonical_query("nearby", first.center, first.circumradius_m, "bar"): {"status": "OK", "results": [bar]}}
+    if second_cell is not None:
+        responses[canonical_query("nearby", second.center, second.circumradius_m, "bar")] = second_cell
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "responses.json").write_text(json.dumps(responses))
+    (tmp_path / "plan.json").write_text(json.dumps({"queries": [{"kind": "nearby", "term": "bar"}]}))
+    return write_config(tmp_path, paths={"fixtures_dir": str(fixtures), "plan": str(tmp_path / "plan.json")},
+                        harvest_rows=2, harvest_cols=1, densify=False)
+
+
+def test_harvest_reports_unrecorded_queries(tmp_path, capsys):
+    config = two_cell_harvest(tmp_path, None)
+    assert stage("harvest", config, tmp_path / "out") == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)["harvest"]
+    assert stats["queries"] == 2 and stats["unrecorded_queries"] == 1 and stats["raw_pois"] == 1
+
+
+def test_harvest_malformed_fixture_result_is_a_data_error(tmp_path, capsys, caplog):
+    config = two_cell_harvest(tmp_path, {"status": "OK", "results": [{"place_id": "b1", "geometry": {}}]})
+    out = tmp_path / "out"
+    assert stage("harvest", config, out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err and "Traceback" not in caplog.text
+    assert "nearby|" in err and "geometry.location" in err
+    assert [p.place_id for p in load_raw_pois(out / "pois_raw.json")] == ["b0"]  # the first query's POI
 
 
 def test_harvest_normalize_associate_sensitivity_report(tmp_path):
@@ -135,21 +165,6 @@ def test_run_pipeline_and_rerun_stage_identical(tmp_path):
     (out / "assoc.csv").unlink()
     assert stage("associate", config, out) == EXIT_OK
     assert (out / "assoc.csv").read_bytes() == assoc1
-
-
-def test_fixtures_env_var_overrides_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCOOTER_FIXTURES_DIR", str(DEMO / "fixtures"))
-    config = write_config(
-        tmp_path,
-        paths={"fixtures_dir": str(tmp_path / "does-not-exist")},
-        harvest_rows=4,
-        harvest_cols=4,
-        densify=False,
-        query_budget=1000,
-    )
-    out = tmp_path / "out"
-    assert stage("harvest", config, out) == EXIT_OK
-    assert (out / "pois_raw.json").exists()
 
 
 def test_run_with_existing_feed(tmp_path):
@@ -269,9 +284,12 @@ def bad_scenario(tmp_path) -> dict:
     ({"bbox": {"min_lat": 33.7, "max_lat": 33.8, "max_lon": -84.3}}, "bbox"),
     ({"thresholds": "a:b:c"}, "thresholds"),
     ({"cleaning": {"day_start": "7am"}}, "cleaning.day_start"),
+    ({"cleaning": {"day_start": "06:30"}}, "cleaning.day_start"),
+    ({"cleaning": {"day_end": "22:00"}}, "cleaning.day_end"),
     (bad_scenario, "fleet"),
     ({"timezone": "Mars/Base"}, "Mars/Base"),
-], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "scenario-key", "timezone"])
+], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "day-start-before-slots", "day-end-after-slots",
+        "scenario-key", "timezone"])
 def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key):
     if callable(overrides):
         overrides = overrides(tmp_path)

@@ -10,7 +10,7 @@ from scootertrips.errors import (
     TargetNotFound,
     UnmappedPrimaryType,
 )
-from scootertrips.geo import Bbox, GeoPoint, haversine_m, make_grid, offset_azimuthal
+from scootertrips.geo import Bbox, GeoPoint, haversine_m, make_grid, offset_azimuthal, subdivide_cell
 from scootertrips.poi import (
     FixturePlacesClient,
     GroupTaxonomy,
@@ -24,8 +24,6 @@ from scootertrips.poi import (
     canonical_query,
     dedupe_and_merge,
     exclude_primary_types,
-    fetch_nearby,
-    fetch_text,
     generate_buffers,
     harvest,
     load_buffer_specs,
@@ -37,7 +35,7 @@ from scootertrips.poi import (
     select_low_density_cells,
 )
 from scootertrips.poi.catalog import BufferRing, BufferSpec
-from scootertrips.poi.client import QueryPlanEntry
+from scootertrips.poi.client import MAX_SUBDIVISION_DEPTH, RETRIES, QueryPlanEntry, query_places
 
 from conftest import CITY
 
@@ -54,12 +52,15 @@ def result(place_id, lat, lon, types, name=None, vicinity="123 Main St"):
     }
 
 
-def fixture_client(tmp_path, responses, strict=False):
+def fixture_client(tmp_path, responses):
     d = tmp_path / "fixtures"
     d.mkdir(exist_ok=True)
     with open(d / "responses.json", "w") as fh:
         json.dump(responses, fh)
-    return FixturePlacesClient(d, strict=strict)
+    return FixturePlacesClient(d)
+
+
+NEARBY = QueryPlanEntry("nearby", "restaurant")
 
 
 class TestClient:
@@ -69,25 +70,28 @@ class TestClient:
             tmp_path,
             {key: {"status": "OK", "results": [result(f"r{i}", 33.77, -84.39, ["restaurant"]) for i in range(3)]}},
         )
-        pois, truncated = fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
-        assert len(pois) == 3 and truncated is False
+        pois = query_places(client, NEARBY, CITY, 400.0, QueryBudget(10))
+        assert len(pois) == 3
         assert all(p.source == "nearby" and p.query_type == "restaurant" for p in pois)
 
     def test_cap_at_20_sets_truncated(self, tmp_path):
-        key = canonical_query("nearby", CITY, 400.0, "restaurant")
+        grid = make_grid(BBOX, 1, 1)
+        cell = grid.cells[0]
+        key = canonical_query("nearby", cell.center, cell.circumradius_m, "restaurant")
         client = fixture_client(
             tmp_path,
             {key: {"status": "OK", "results": [result(f"r{i}", 33.77, -84.39, ["restaurant"]) for i in range(25)]}},
         )
-        pois, truncated = fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
-        assert len(pois) == 20 and truncated is True
+        pois = []
+        assert harvest(client, grid, [NEARBY], QueryBudget(10), pois) == (5, 1)  # the capped query and its 4 quarters
+        assert len(pois) == 20
 
     def test_budget_exhausted(self, tmp_path):
         client = fixture_client(tmp_path, {})
         budget = QueryBudget(max_queries=1)
-        fetch_nearby(client, CITY, 400.0, "restaurant", budget)
+        query_places(client, NEARBY, CITY, 400.0, budget)
         with pytest.raises(BudgetExhausted):
-            fetch_nearby(client, CITY, 400.0, "restaurant", budget)
+            query_places(client, NEARBY, CITY, 400.0, budget)
         assert budget.used == 1
 
     def test_text_search_source_and_query_type(self, tmp_path):
@@ -95,7 +99,7 @@ class TestClient:
         client = fixture_client(
             tmp_path, {key: {"status": "OK", "results": [result("apt1", 33.77, -84.39, [])]}}
         )
-        pois = fetch_text(client, "apartment", CITY, 400.0, QueryBudget(10))
+        pois = query_places(client, QueryPlanEntry("text", "apartment"), CITY, 400.0, QueryBudget(10))
         assert pois[0].source == "text" and pois[0].query_type == "apartment"
 
     def test_text_query_type_normalized(self, tmp_path):
@@ -103,32 +107,55 @@ class TestClient:
         client = fixture_client(
             tmp_path, {key: {"status": "OK", "results": [result("st1", 33.77, -84.39, ["subway_station"])]}}
         )
-        pois = fetch_text(client, "subway station", CITY, 400.0, QueryBudget(10))
+        pois = query_places(client, QueryPlanEntry("text", "subway station"), CITY, 400.0, QueryBudget(10))
         assert pois[0].query_type == "subway_station"
 
     def test_missing_fixture_returns_empty(self, tmp_path):
         client = fixture_client(tmp_path, {})
-        pois = fetch_text(client, "condo", CITY, 400.0, QueryBudget(10))
+        pois = query_places(client, QueryPlanEntry("text", "condo"), CITY, 400.0, QueryBudget(10))
         assert pois == [] and client.misses == 1
-
-    def test_strict_mode_errors_on_miss(self, tmp_path):
-        client = fixture_client(tmp_path, {}, strict=True)
-        with pytest.raises(ClientError):
-            fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
 
     def test_error_status_raises(self, tmp_path):
         key = canonical_query("nearby", CITY, 400.0, "restaurant")
         client = fixture_client(tmp_path, {key: {"status": "REQUEST_DENIED", "results": []}})
+        budget = QueryBudget(10)
         with pytest.raises(ClientError) as err:
-            fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
+            query_places(client, NEARBY, CITY, 400.0, budget)
         assert err.value.retriable is False
+        assert budget.used == 1  # a fatal status is not retried
 
     def test_over_query_limit_is_retriable(self, tmp_path):
         key = canonical_query("nearby", CITY, 400.0, "restaurant")
         client = fixture_client(tmp_path, {key: {"status": "OVER_QUERY_LIMIT", "results": []}})
+        budget = QueryBudget(10)
         with pytest.raises(ClientError) as err:
-            fetch_nearby(client, CITY, 400.0, "restaurant", QueryBudget(10))
+            query_places(client, NEARBY, CITY, 400.0, budget)
         assert err.value.retriable is True
+        assert budget.used == RETRIES + 1  # the first attempt and every retry
+
+    @pytest.mark.parametrize("damage, field", [
+        (lambda rec: rec["geometry"].pop("location"), "geometry.location"),
+        (lambda rec: rec["geometry"]["location"].update(lat="north"), "geometry.location.lat"),
+        (lambda rec: rec.pop("place_id"), "place_id"),
+        (lambda rec: rec.update(types=5), "types"),
+    ], ids=["no-location", "text-lat", "no-place-id", "number-types"])
+    def test_malformed_result_is_fatal_and_names_query_and_field(self, tmp_path, damage, field):
+        key = canonical_query("nearby", CITY, 400.0, "restaurant")
+        rec = result("r0", 33.77, -84.39, ["restaurant"])
+        damage(rec)
+        client = fixture_client(tmp_path, {key: {"status": "OK", "results": [rec]}})
+        with pytest.raises(ClientError) as err:
+            query_places(client, NEARBY, CITY, 400.0, QueryBudget(10))
+        assert err.value.retriable is False
+        assert key in str(err.value) and f"no usable {field} in a result" in str(err.value)
+
+    @pytest.mark.parametrize("response", [["OK"], {"status": "OK", "results": 7}], ids=["list", "number-results"])
+    def test_malformed_response_is_fatal_and_names_query(self, tmp_path, response):
+        key = canonical_query("nearby", CITY, 400.0, "restaurant")
+        client = fixture_client(tmp_path, {key: response})
+        with pytest.raises(ClientError, match="not an object with a results list") as err:
+            query_places(client, NEARBY, CITY, 400.0, QueryBudget(10))
+        assert err.value.retriable is False and key in str(err.value)
 
 
 class TestHarvest:
@@ -136,40 +163,56 @@ class TestHarvest:
         client = fixture_client(tmp_path, {})
         grid = make_grid(BBOX, 8, 8)
         budget = QueryBudget(1000)
-        result_ = harvest(client, grid, [QueryPlanEntry("nearby", "restaurant")], budget)
-        assert len(result_.report.queries) == 64
-        assert budget.used == 64
+        pois = []
+        assert harvest(client, grid, [NEARBY], budget, pois) == (64, 0)
+        assert budget.used == 64 and client.misses == 64 and pois == []
 
     def test_budget_smaller_than_plan(self, tmp_path):
-        client = fixture_client(tmp_path, {})
         grid = make_grid(BBOX, 8, 8)
+        responses = {
+            canonical_query("nearby", cell.center, cell.circumradius_m, "restaurant"): {
+                "status": "OK", "results": [result(f"r{i}", cell.center.lat, cell.center.lon, ["restaurant"])],
+            }
+            for i, cell in enumerate(grid.cells)
+        }
+        client = fixture_client(tmp_path, responses)
         budget = QueryBudget(10)
-        with pytest.raises(BudgetExhausted) as err:
-            harvest(client, grid, [QueryPlanEntry("nearby", "restaurant")], budget)
+        pois = []
+        with pytest.raises(BudgetExhausted):
+            harvest(client, grid, [NEARBY], budget, pois)
         assert budget.used == 10
-        assert err.value.partial is not None
-        assert len(err.value.partial.report.queries) == 10
+        assert [p.place_id for p in pois] == [f"r{i}" for i in range(10)]  # every query run before the budget ran out
 
     def test_truncated_cells_subdivided(self, tmp_path):
         grid = make_grid(BBOX, 2, 2)
         cell = grid.cells[0]
-        key = canonical_query("nearby", cell.center, cell.circumradius_m, "restaurant")
-        responses = {
-            key: {"status": "OK", "results": [result(f"r{i}", cell.center.lat, cell.center.lon, ["restaurant"]) for i in range(20)]}
-        }
+        capped = [result(f"r{i}", cell.center.lat, cell.center.lon, ["restaurant"]) for i in range(20)]
+        responses = {canonical_query("nearby", cell.center, cell.circumradius_m, "restaurant"):
+                     {"status": "OK", "results": capped}}
+        sub = subdivide_cell(cell)[0]  # capped again: re-queried one level deeper
+        responses[canonical_query("nearby", sub.center, sub.circumradius_m, "restaurant")] = {
+            "status": "OK", "results": capped}
         client = fixture_client(tmp_path, responses)
         budget = QueryBudget(1000)
-        result_ = harvest(client, grid, [QueryPlanEntry("nearby", "restaurant")], budget, max_subdivision_depth=1)
-        # 4 base queries + 4 subdivision queries of the truncated cell
-        assert len(result_.report.queries) == 8
-        depths = [q.depth for q in result_.report.queries]
-        assert depths.count(1) == 4
-        assert result_.report.truncated_queries == 1
+        pois = []
+        # 4 base queries, 4 on the capped cell's quarters, 4 on the capped quarter's quarters
+        assert MAX_SUBDIVISION_DEPTH == 2
+        assert harvest(client, grid, [NEARBY], budget, pois) == (12, 2)
+        assert len(pois) == 40 and budget.used == 12
+
+    def test_subdivision_stops_at_max_depth(self, tmp_path):
+        class CappedClient:
+            def search(self, kind, center, radius_m, term):
+                return {"status": "OK", "results": [result(f"r{i}", center.lat, center.lon, ["bar"]) for i in range(20)]}
+
+        queries, truncated = harvest(CappedClient(), make_grid(BBOX, 1, 1), [QueryPlanEntry("nearby", "bar")],
+                                     QueryBudget(100), [])
+        assert queries == truncated == 1 + 4 + 16  # depth 0, 1 and 2; the depth-2 quarters are not split
 
     def test_empty_plan_rejected(self, tmp_path):
         client = fixture_client(tmp_path, {})
         with pytest.raises(InvalidConfig):
-            harvest(client, make_grid(BBOX, 2, 2), [], QueryBudget(10))
+            harvest(client, make_grid(BBOX, 2, 2), [], QueryBudget(10), [])
 
     def test_deterministic_given_fixtures(self, tmp_path):
         grid = make_grid(BBOX, 3, 3)
@@ -181,9 +224,10 @@ class TestHarvest:
                 "results": [result(f"b{i}", cell.center.lat, cell.center.lon, ["bar"])],
             }
         client = fixture_client(tmp_path, responses)
-        r1 = harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(100))
-        r2 = harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(100))
-        assert r1.pois == r2.pois
+        p1, p2 = [], []
+        harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(100), p1)
+        harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(100), p2)
+        assert p1 == p2 and len(p1) == 9
 
     def test_retriable_error_retried_then_succeeds(self):
         class FlakyClient:
@@ -199,10 +243,9 @@ class TestHarvest:
         client = FlakyClient()
         grid = make_grid(BBOX, 1, 1)
         budget = QueryBudget(10)
-        result_ = harvest(client, grid, [QueryPlanEntry("nearby", "bar")], budget, retries=2)
+        assert harvest(client, grid, [QueryPlanEntry("nearby", "bar")], budget, []) == (1, 0)
         assert client.calls == 2
         assert budget.used == 2  # failed attempts spend budget too
-        assert len(result_.report.queries) == 1
 
     def test_fatal_error_carries_partial_results(self, tmp_path):
         grid = make_grid(BBOX, 2, 1)
@@ -216,11 +259,10 @@ class TestHarvest:
             },
         }
         client = fixture_client(tmp_path, responses)
-        with pytest.raises(ClientError) as err:
-            harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(10))
-        assert err.value.partial is not None
-        assert len(err.value.partial.pois) == 1
-        assert err.value.partial.report.failed is True
+        pois = []
+        with pytest.raises(ClientError):
+            harvest(client, grid, [QueryPlanEntry("nearby", "bar")], QueryBudget(10), pois)
+        assert [p.place_id for p in pois] == ["b0"]
 
     def test_low_density_cell_selection(self):
         grid = make_grid(BBOX, 2, 2)

@@ -18,7 +18,8 @@ Exits 1 on any difference not named with --expect-change, 0 otherwise.
 --time N runs N base/change pairs per case, alternating which side runs
 first (base first in the first pair), and prints each run's wall time
 (run_s) and peak RSS (peak_rss_mb, the child's ru_maxrss), then the median
-of the paired change/base run_s ratios. On a shared host, run times taken
+of the paired change/base run_s ratios and the median paired relative
+peak_rss_mb change. On a shared host, run times taken
 hours apart are not comparable; the ratios of adjacent pairs are.
 The artifacts of the last pair are compared.
 """
@@ -109,8 +110,11 @@ def print_timing(pairs: list[dict]) -> None:
               f"peak_rss_mb {b['peak_rss_mb']:.1f} -> {c['peak_rss_mb']:.1f}")
     ratios = [p["change"]["run_s"] / p["base"]["run_s"] for p in pairs]
     faster = sum(r < 1.0 for r in ratios)
+    rss = [p["change"]["peak_rss_mb"] / p["base"]["peak_rss_mb"] - 1.0 for p in pairs]
+    smaller = sum(r < 0.0 for r in rss)
     print(f"  run_s paired change/base ratio: median {statistics.median(ratios):.3f} "
-          f"(change faster in {faster}/{len(pairs)})")
+          f"(change faster in {faster}/{len(pairs)}); "
+          f"peak_rss_mb paired change: median {statistics.median(rss):+.1%} (change smaller in {smaller}/{len(pairs)})")
 
 
 def main(argv=None) -> int:
