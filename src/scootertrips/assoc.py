@@ -18,25 +18,9 @@ import numpy as np
 from .errors import DanglingPoiReference, EmptyCatalog
 from .geo import SpatialIndex, build_spatial_index, nearest_k_batch
 from .poi import Poi
-from .trips import (
-    TRIP_CSV_COLUMNS,
-    TripTable,
-    float_column,
-    repr_floats,
-    trip_csv_columns,
-    trip_table_from_records,
-    write_table_csv,
-)
+from .trips import ASSOC_CSV, TripTable, read_table_csv, write_table_csv
 
 log = logging.getLogger(__name__)
-
-ASSOC_CSV_COLUMNS = TRIP_CSV_COLUMNS + (
-    "origin_poi",
-    "origin_dist_m",
-    "dest_poi",
-    "dest_dist_m",
-    "origin_reassigned",
-)
 
 
 @dataclass
@@ -141,38 +125,12 @@ def apply_threshold(associated: TripTable, cutoff_m: float = 50.0) -> TripTable:
     return associated.take((associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m))
 
 
-def assoc_csv_columns(associated: TripTable) -> list[list[str]]:
-    """The ASSOC_CSV_COLUMNS of every row as text, one list per column."""
-    poi_of = associated.poi_ids.__getitem__
-    return trip_csv_columns(associated) + [
-        list(map(poi_of, associated.origin_poi.tolist())),
-        repr_floats(associated.origin_dist),
-        list(map(poi_of, associated.dest_poi.tolist())),
-        repr_floats(associated.dest_dist),
-        np.where(associated.reassigned, "true", "false").tolist(),
-    ]
-
-
 def write_associated_csv(associated: TripTable, path) -> int:
-    return write_table_csv(associated, path, ASSOC_CSV_COLUMNS, assoc_csv_columns)
+    return write_table_csv(associated, path, ASSOC_CSV)
 
 
 def read_associated_csv(path) -> TripTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = list(csv.DictReader(fh))
-    trips = trip_table_from_records(records)
-    code_of: dict[str, int] = {}
-    origin = [code_of.setdefault(row["origin_poi"], len(code_of)) for row in records]
-    dest = [code_of.setdefault(row["dest_poi"], len(code_of)) for row in records]
-    return replace(
-        trips,
-        poi_ids=list(code_of),
-        origin_poi=np.asarray(origin, dtype=np.int64),
-        origin_dist=float_column(records, "origin_dist_m"),
-        dest_poi=np.asarray(dest, dtype=np.int64),
-        dest_dist=float_column(records, "dest_dist_m"),
-        reassigned=np.array([row["origin_reassigned"] == "true" for row in records], dtype=bool),
-    )
+    return read_table_csv(path, ASSOC_CSV)
 
 
 def write_sensitivity_csv(table: SensitivityTable, path) -> None:

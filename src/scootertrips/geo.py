@@ -15,9 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyIndex, InvalidBbox
-from .kernels import haversine_arrays
+from .kernels import EARTH_RADIUS_M, haversine_arrays
 
-EARTH_RADIUS_M = 6_371_000.0
 # queries nearest_k_batch scores at once: bounds its (queries, k + 8) candidate temporaries
 QUERY_BLOCK = 4096
 

@@ -21,7 +21,7 @@ import io
 import json
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import filterfalse
 from operator import itemgetter
@@ -104,13 +104,7 @@ class IngestStats:
         return self.retained + self.dropped_null_id + self.dropped_duplicate_id
 
     def to_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "retained": self.retained,
-            "dropped_null_id": self.dropped_null_id,
-            "dropped_duplicate_id": self.dropped_duplicate_id,
-            "input_records": self.input_records,
-        }
+        return {**asdict(self), "input_records": self.input_records}
 
 
 class SnapshotStream:

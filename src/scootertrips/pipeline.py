@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -108,26 +108,24 @@ class Manifest:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "package": "scootertrips",
             "package_version": __version__,
             "python_version": platform.python_version(),
-            "config_sha256": self.config_sha256,
             "created_at": datetime.now(timezone.utc).isoformat(),
-            "status": self.status,
-            "failed_stage": self.failed_stage,
-            "stages": self.stages,
-            "artifacts": self.artifacts,
         }
 
 
 @dataclass
 class StageResult:
     """What a stage hands on: its output for the next stage, its manifest
-    stage entries, and the artifacts it wrote."""
+    stage entries, and the artifacts it wrote. A stage that failed part way
+    sets error: what it wrote is recorded, then the error is raised."""
 
     output: object
     stages: dict
     paths: list[Path] = field(default_factory=list)
+    error: Exception | None = None
 
 
 def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
@@ -163,11 +161,11 @@ def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResu
     cleaned, clean_report = clean_trips(raw_trips, cfg.cleaning, cfg.timezone)
     paths = [out_dir / TRIPS, out_dir / "cleaning_report.json"]
     write_trips_csv(cleaned, paths[0])
-    _write_json(clean_report.to_dict(), paths[1])
+    _write_json(asdict(clean_report), paths[1])
     stages = {
         "ingest": stream.stats.to_dict(),
         "extract": {"raw_trips": len(raw_trips)},
-        "clean": clean_report.to_dict(),
+        "clean": asdict(clean_report),
     }
     return StageResult(cleaned, stages, paths)
 
@@ -177,25 +175,26 @@ def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
     queries over the lowest-density cells of the densify grid; both passes
     share one query budget. Writes pois_raw.json; the output is the raw POI
     list. On budget exhaustion or a client error pois_raw.json holds the
-    POIs found so far and the error propagates."""
+    POIs found so far, the harvest entry counts them and the budget used,
+    and the result carries the error."""
     path = Path(out_dir) / RAW_POIS
     pois: list = []
+    budget = QueryBudget(cfg.query_budget)
+    error = None
     try:
-        stats = _harvest(cfg, pois)  # returns after the client and its recorded corpus are freed
-    except (BudgetExhausted, ClientError):
-        save_raw_pois(pois, path)
-        raise
+        stats = _harvest(cfg, pois, budget)  # returns after the client and its recorded corpus are freed
+    except (BudgetExhausted, ClientError) as exc:
+        stats, error = {"raw_pois": len(pois), "budget_used": budget.used}, exc
     save_raw_pois(pois, path)
-    return StageResult(pois, {"harvest": stats}, [path])
+    return StageResult(pois, {"harvest": stats}, [path], error)
 
 
-def _harvest(cfg: PipelineConfig, pois: list) -> dict:
+def _harvest(cfg: PipelineConfig, pois: list, budget: QueryBudget) -> dict:
     """Run the harvest passes, appending to pois; returns the stage counts."""
     if not cfg.fixtures_dir:
         raise InvalidConfig("no fixture directory: set paths.fixtures_dir")
     client = FixturePlacesClient(cfg.fixtures_dir)
     plan = load_plan(cfg.plan or default_plan_path())
-    budget = QueryBudget(cfg.query_budget)
     queries, truncated = harvest(client, make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan, budget, pois)
     stats = {
         "grid": [cfg.harvest_rows, cfg.harvest_cols],
@@ -233,7 +232,7 @@ def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
     )
     path = Path(out_dir) / CATALOG
     save_catalog(catalog, path)
-    return StageResult(catalog, {"normalize": report.to_dict()}, [path])
+    return StageResult(catalog, {"normalize": asdict(report)}, [path])
 
 
 def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult:
@@ -313,7 +312,10 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir, raw_out=None) -> StageRes
     if name == "extract":
         return extract_clean_trips(cfg, out_dir, raw_out=raw_out)
     if name == "harvest":
-        return harvest_pois(cfg, out_dir)
+        result = harvest_pois(cfg, out_dir)
+        if result.error:
+            raise result.error
+        return result
     if name == "normalize":
         return normalize_pois(cfg, load_raw_pois(out_dir / RAW_POIS), out_dir)
     catalog = load_catalog(out_dir / CATALOG)
@@ -339,6 +341,8 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         manifest.stages.update(result.stages)
         for path in result.paths:
             manifest.artifacts[path.name] = _sha256(path)
+        if result.error:
+            raise result.error
         return result.output
 
     try:

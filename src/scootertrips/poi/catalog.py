@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..errors import InvalidConfig, MissingTypes, TargetNotFound, UnmappedPrimaryType
+from ..errors import InvalidConfig, MissingTypes, PipelineError, TargetNotFound, UnmappedPrimaryType
 from ..geo import GeoPoint, offset_azimuthal
 
 log = logging.getLogger(__name__)
@@ -72,9 +72,6 @@ class MergeReport:
     colocated_groups_merged: int = 0
     pois_absorbed: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class NormalizeReport:
@@ -85,11 +82,6 @@ class NormalizeReport:
     buffers_added: int = 0
     merge: MergeReport = field(default_factory=MergeReport)
     catalog_size: int = 0
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["merge"] = self.merge.to_dict()
-        return out
 
 
 def _data_path(name: str) -> Path:
@@ -379,79 +371,59 @@ def normalize_catalog(
     return catalog, report
 
 
-def _poi_to_dict(p: Poi) -> dict:
-    return {
-        "id": p.id,
-        "name": p.name,
-        "lat": p.position.lat,
-        "lon": p.position.lon,
-        "predefined_types": list(p.predefined_types),
-        "primary_type": p.primary_type,
-        "group": p.group,
-        "source": p.source,
-        "parent_id": p.parent_id,
-        "vicinity": p.vicinity,
-        "query_type": p.query_type,
-    }
+def _json_fields(cls) -> list[str]:
+    """A Poi's or RawPoi's dataclass fields but position, which its JSON object holds as lat/lon."""
+    return [f.name for f in fields(cls) if f.name != "position"]
 
 
-def _poi_from_dict(obj: dict) -> Poi:
-    return Poi(
-        id=obj["id"],
-        name=obj["name"],
-        position=GeoPoint(float(obj["lat"]), float(obj["lon"])),
-        predefined_types=tuple(obj["predefined_types"]),
-        primary_type=obj["primary_type"],
-        group=obj.get("group"),
-        source=obj.get("source", "nearby"),
-        parent_id=obj.get("parent_id"),
-        vicinity=obj.get("vicinity", ""),
-        query_type=obj.get("query_type"),
-    )
+def _save(cls, records: Sequence, path) -> None:
+    names = _json_fields(cls)
+    objs = []
+    for r in records:
+        obj = {name: getattr(r, name) for name in names}
+        obj["lat"], obj["lon"] = r.position
+        objs.append(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(objs, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _load(cls, path) -> list:
+    """The cls records of a _save file; a file that is not JSON, a record with
+    a missing or unknown key, or a non-numeric lat/lon raises PipelineError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            items = json.load(fh)
+        except ValueError as exc:
+            raise PipelineError(f"{path} is not JSON: {exc}") from None
+    keys = {*_json_fields(cls), "lat", "lon"}
+    records = []
+    for i, obj in enumerate(items):
+        got = set(obj) if isinstance(obj, dict) else set()
+        if got != keys:
+            raise PipelineError(
+                f"{path} record {i}: missing keys {sorted(keys - got)}, unknown keys {sorted(got - keys)}"
+            )
+        try:
+            position = GeoPoint(float(obj.pop("lat")), float(obj.pop("lon")))
+        except (TypeError, ValueError) as exc:
+            raise PipelineError(f"{path} record {i}: lat/lon: {exc}") from None
+        obj["predefined_types"] = tuple(obj["predefined_types"])
+        records.append(cls(position=position, **obj))
+    return records
 
 
 def save_catalog(catalog: Sequence[Poi], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([_poi_to_dict(p) for p in catalog], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _save(Poi, catalog, path)
 
 
 def load_catalog(path) -> list[Poi]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [_poi_from_dict(obj) for obj in json.load(fh)]
-
-
-def _raw_to_dict(r: RawPoi) -> dict:
-    return {
-        "place_id": r.place_id,
-        "name": r.name,
-        "lat": r.position.lat,
-        "lon": r.position.lon,
-        "predefined_types": list(r.predefined_types),
-        "vicinity": r.vicinity,
-        "query_type": r.query_type,
-        "source": r.source,
-    }
+    return _load(Poi, path)
 
 
 def save_raw_pois(raw_pois: Sequence[RawPoi], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([_raw_to_dict(r) for r in raw_pois], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _save(RawPoi, raw_pois, path)
 
 
 def load_raw_pois(path) -> list[RawPoi]:
-    with open(path, "r", encoding="utf-8") as fh:
-        items = json.load(fh)
-    return [
-        RawPoi(
-            place_id=o["place_id"],
-            name=o["name"],
-            position=GeoPoint(float(o["lat"]), float(o["lon"])),
-            predefined_types=tuple(o["predefined_types"]),
-            vicinity=o.get("vicinity", ""),
-            query_type=o["query_type"],
-            source=o["source"],
-        )
-        for o in items
-    ]
+    return _load(RawPoi, path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Sequence
 from zoneinfo import ZoneInfo
@@ -128,9 +128,7 @@ class ScoreReport:
         return self.n_matched / self.n_recoverable if self.n_recoverable else 1.0
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["recall"] = self.recall
-        return out
+        return {**asdict(self), "recall": self.recall}
 
 
 def _round_point(lat: float, lon: float) -> GeoPoint:

@@ -1,5 +1,6 @@
 """Trip reconstruction from per-scooter observation timelines, the cleaning
-filters, and the columnar TripTable that carries trips between stages.
+filters, the columnar TripTable that carries trips between stages, and its
+two CSV formats.
 
 A scooter that reappears away from where it was parked moved while it was
 absent: the last update that saw it parked brackets the trip start and the
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from itertools import groupby
+from itertools import groupby, zip_longest
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timezone
 from typing import Iterable, Sequence
@@ -21,7 +22,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from . import kernels
-from .errors import InvalidConfig
+from .errors import InvalidConfig, MalformedRecord
 from .geo import Bbox
 from .ingest import SnapshotBatch, format_ts, parse_ts
 
@@ -34,15 +35,25 @@ COLOCATION_EPS_M = 1.0
 # rows a CSV writer formats at once: bounds the text objects it holds (a few MB)
 WRITE_BLOCK = 4096
 
-TRIP_CSV_COLUMNS = (
-    "scooter_id",
-    "origin_lat",
-    "origin_lon",
-    "dest_lat",
-    "dest_lon",
-    "start_ts",
-    "end_ts",
-    "displacement_m",
+# Each CSV column as (header, TripTable field, text kind). "ids" and "poi_ids"
+# columns hold codes written as the strings of that TripTable field; "ts"
+# columns are UTC epoch seconds written as format_ts text.
+TRIP_CSV = (
+    ("scooter_id", "scooter", "ids"),
+    ("origin_lat", "origin_lat", "float"),
+    ("origin_lon", "origin_lon", "float"),
+    ("dest_lat", "dest_lat", "float"),
+    ("dest_lon", "dest_lon", "float"),
+    ("start_ts", "start", "ts"),
+    ("end_ts", "end", "ts"),
+    ("displacement_m", "displacement", "float"),
+)
+ASSOC_CSV = TRIP_CSV + (
+    ("origin_poi", "origin_poi", "poi_ids"),
+    ("origin_dist_m", "origin_dist", "float"),
+    ("dest_poi", "dest_poi", "poi_ids"),
+    ("dest_dist_m", "dest_dist", "float"),
+    ("origin_reassigned", "reassigned", "bool"),
 )
 
 
@@ -124,17 +135,6 @@ class CleaningReport:
     under_5m: int = 0
     under_10m: int = 0
     under_20m: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "kept": self.kept,
-            "removed_hours": self.removed_hours,
-            "removed_distance": self.removed_distance,
-            "under_5m": self.under_5m,
-            "under_10m": self.under_10m,
-            "under_20m": self.under_20m,
-        }
 
 
 def local_fields(ts_seconds: np.ndarray, tz_name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -287,64 +287,76 @@ def format_epochs(seconds: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
-def repr_floats(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
+def _column_text(table: TripTable, field: str, kind: str) -> list[str]:
+    values = getattr(table, field)
+    if kind == "float":
+        return list(map(repr, values.tolist()))
+    if kind == "ts":
+        return format_epochs(values)
+    if kind == "bool":
+        return np.where(values, "true", "false").tolist()
+    return list(map(getattr(table, kind).__getitem__, values.tolist()))  # codes into ids / poi_ids
 
 
-def trip_csv_columns(trips: TripTable) -> list[list[str]]:
-    """The TRIP_CSV_COLUMNS of every row as text, one list per column."""
-    return [
-        list(map(trips.ids.__getitem__, trips.scooter.tolist())),
-        repr_floats(trips.origin_lat),
-        repr_floats(trips.origin_lon),
-        repr_floats(trips.dest_lat),
-        repr_floats(trips.dest_lon),
-        format_epochs(trips.start),
-        format_epochs(trips.end),
-        repr_floats(trips.displacement),
-    ]
-
-
-def write_table_csv(table: TripTable, path, header: Sequence[str], columns) -> int:
-    """Write header, then the rows of table as text, WRITE_BLOCK rows at a
-    time; columns maps a block of table to its text columns."""
+def write_table_csv(table: TripTable, path, schema) -> int:
+    """Write the schema's headers, then the rows of table as text,
+    WRITE_BLOCK rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([header for header, _, _ in schema])
         for lo in range(0, len(table), WRITE_BLOCK):
-            writer.writerows(zip(*columns(table.take(slice(lo, lo + WRITE_BLOCK)))))
+            block = table.take(slice(lo, lo + WRITE_BLOCK))
+            writer.writerows(zip(*(_column_text(block, field, kind) for _, field, kind in schema)))
     return len(table)
 
 
+_PARSE = {
+    "float": float,
+    "ts": lambda text: int(parse_ts(text, 0).timestamp()),  # the reader re-raises with the line
+    "bool": {"true": True, "false": False}.__getitem__,
+}
+_DTYPE = {"float": np.float64, "ts": np.int64, "bool": bool}
+
+
+def read_table_csv(path, schema) -> TripTable:
+    """The TripTable a write_table_csv file with this schema holds.
+
+    The header must be the schema's headers. Rows are parsed in file order,
+    so the first bad row raises MalformedRecord, at the line where that row
+    ends. Codes into ids and poi_ids follow first sight, column by column in
+    schema order.
+    """
+    headers = [header for header, _, _ in schema]
+    columns: dict[str, list] = {field: [] for _, field, _ in schema}
+    cells = [(header, columns[field].append, _PARSE.get(kind, str)) for header, field, kind in schema]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, [])
+        if got != headers:
+            col, (found, want) = next((i, p) for i, p in enumerate(zip_longest(got, headers), 1) if p[0] != p[1])
+            raise MalformedRecord(1, f"header column {col} is {found!r}, expected {want!r}")
+        for row in reader:
+            if len(row) != len(headers):
+                raise MalformedRecord(reader.line_num, f"{len(row)} fields, expected {len(headers)}")
+            for (header, append, parse), text in zip(cells, row):
+                try:
+                    append(parse(text))
+                except (KeyError, ValueError, MalformedRecord):
+                    raise MalformedRecord(reader.line_num, f"bad {header} {text!r}") from None
+    codes: dict[str, dict[str, int]] = {}
+    arrays = {}
+    for _, field, kind in schema:
+        if kind in _DTYPE:
+            arrays[field] = np.array(columns.pop(field), dtype=_DTYPE[kind])
+        else:
+            code_of = codes.setdefault(kind, {})
+            arrays[field] = np.fromiter((code_of.setdefault(t, len(code_of)) for t in columns.pop(field)), np.int64)
+    return TripTable(**{kind: list(code_of) for kind, code_of in codes.items()}, **arrays)
+
+
 def write_trips_csv(trips: TripTable, path) -> int:
-    return write_table_csv(trips, path, TRIP_CSV_COLUMNS, trip_csv_columns)
-
-
-def float_column(records: list[dict], key: str) -> np.ndarray:
-    return np.fromiter((float(row[key]) for row in records), dtype=np.float64, count=len(records))
-
-
-def trip_table_from_records(records: list[dict]) -> TripTable:
-    """A TripTable from parsed trips-CSV rows (the first data row is line 2)."""
-    code_of: dict[str, int] = {}
-    scooter, start, end = [], [], []
-    for line_no, row in enumerate(records, 2):
-        scooter.append(code_of.setdefault(row["scooter_id"], len(code_of)))
-        start.append(int(parse_ts(row["start_ts"], line_no).timestamp()))
-        end.append(int(parse_ts(row["end_ts"], line_no).timestamp()))
-    return TripTable(
-        ids=list(code_of),
-        scooter=np.asarray(scooter, dtype=np.int64),
-        start=np.asarray(start, dtype=np.int64),
-        end=np.asarray(end, dtype=np.int64),
-        origin_lat=float_column(records, "origin_lat"),
-        origin_lon=float_column(records, "origin_lon"),
-        dest_lat=float_column(records, "dest_lat"),
-        dest_lon=float_column(records, "dest_lon"),
-        displacement=float_column(records, "displacement_m"),
-    )
+    return write_table_csv(trips, path, TRIP_CSV)
 
 
 def read_trips_csv(path) -> TripTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return trip_table_from_records(list(csv.DictReader(fh)))
+    return read_table_csv(path, TRIP_CSV)

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -88,8 +91,9 @@ def test_harvest_budget_exhausted_exit_code(tmp_path):
 
 def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
     cfg = PipelineConfig(fixtures_dir=str(DEMO / "fixtures"), query_budget=1100, densify=True)
-    with pytest.raises(BudgetExhausted):
-        harvest_pois(cfg, tmp_path)
+    result = harvest_pois(cfg, tmp_path)
+    assert isinstance(result.error, BudgetExhausted)
+    assert result.stages == {"harvest": {"raw_pois": 38, "budget_used": 1100}}
     assert len(load_raw_pois(tmp_path / "pois_raw.json")) == 38  # the base pass; densify spent the rest
 
 
@@ -202,6 +206,17 @@ def test_run_missing_fixtures_dir_fails_with_stage(tmp_path):
     assert manifest["failed_stage"] == "harvest"
 
 
+def test_failed_run_accounts_for_its_partial_harvest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, query_budget=5)), "--out-dir", str(out)]) == EXIT_BUDGET
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "FAILED" and manifest["failed_stage"] == "harvest"
+    raw = out / "pois_raw.json"
+    assert manifest["artifacts"]["pois_raw.json"] == hashlib.sha256(raw.read_bytes()).hexdigest()
+    assert manifest["stages"]["harvest"] == {"raw_pois": len(load_raw_pois(raw)), "budget_used": 5}
+    assert {"extract", "clean"} <= manifest["stages"].keys() and "normalize" not in manifest["stages"]
+
+
 def assert_chain_reproduces_run(config: Path, tmp_path: Path, capsys) -> dict:
     """Run the config, then each stage subcommand in order into a second
     directory; every artifact and every stage's manifest entries must agree.
@@ -306,6 +321,87 @@ def demo_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo") / "run"
     assert main(["run", "--config", str(DEMO / "config.json"), "--out-dir", str(out)]) == EXIT_OK
     return out
+
+
+def test_demo_fixtures_record_every_demo_query(demo_run):
+    spec = importlib.util.spec_from_file_location("make_demo_fixtures", REPO / "tools" / "make_demo_fixtures.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.demo_responses() == json.loads((DEMO / "fixtures" / "places.json").read_text())
+    harvest = json.loads((demo_run / "manifest.json").read_text())["stages"]["harvest"]
+    assert harvest["unrecorded_queries"] == 0 and harvest["budget_used"] == 1304
+
+
+def rewrite_csv(path: Path, edit) -> None:
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    edit(records)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(records)
+
+
+def rewrite_json(path: Path, edit) -> None:
+    records = json.loads(path.read_text())
+    edit(records)
+    path.write_text(json.dumps(records))
+
+
+def rename_header(records):
+    records[0][5] = "start"
+
+
+def drop_field(records):
+    del records[3][-1]
+
+
+def bad_float(records):
+    records[2][1] = "north"
+
+
+def bad_bool(records):
+    records[4][-1] = "yes"
+
+
+def drop_key(records):
+    del records[1]["vicinity"]
+
+
+def add_key(records):
+    records[2]["rating"] = 4.5
+
+
+def text_lat(records):
+    records[3]["lat"] = "north"
+
+
+@pytest.mark.parametrize("artifact, edit, name, words", [
+    ("trips.csv", rename_header, "associate", ["line 1", "'start'", "'start_ts'"]),
+    ("trips.csv", drop_field, "associate", ["line 4", "7 fields, expected 8"]),
+    ("trips.csv", bad_float, "associate", ["line 3", "origin_lat 'north'"]),
+    ("assoc.csv", bad_bool, "sensitivity", ["line 5", "origin_reassigned 'yes'"]),
+    ("pois_raw.json", drop_key, "normalize", ["record 1", "missing keys ['vicinity']"]),
+    ("catalog.json", add_key, "associate", ["record 2", "unknown keys ['rating']"]),
+    ("catalog.json", text_lat, "sensitivity", ["record 3", "lat/lon", "'north'"]),
+    ("pois_raw.json", "[{", "normalize", ["pois_raw.json is not JSON", "line 1"]),
+], ids=["header", "field-count", "float", "bool", "poi-missing-key", "poi-extra-key", "poi-text-lat", "poi-not-json"])
+def test_bad_artifact_is_a_data_error(demo_run, tmp_path, capsys, caplog, artifact, edit, name, words):
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    if isinstance(edit, str):
+        (out / artifact).write_text(edit)
+    else:
+        (rewrite_json if artifact.endswith(".json") else rewrite_csv)(out / artifact, edit)
+    assert stage(name, DEMO / "config.json", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err and "Traceback" not in caplog.text
+    for word in words:
+        assert word in err
+
+
+def test_score_needs_a_trips_csv(demo_run, capsys, caplog):
+    code = main(["score", "--truth", str(demo_run / "truth.json"), "--extracted", str(demo_run / "assoc.csv")])
+    assert code == EXIT_DATA
+    assert "header column 9 is 'origin_poi'" in capsys.readouterr().err and "Traceback" not in caplog.text
 
 
 @pytest.mark.parametrize("spec", ["Business", "Busines:Nothing"])

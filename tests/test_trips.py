@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -13,12 +14,17 @@ from scootertrips import trips as trips_module
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from scootertrips.ingest import SnapshotBatch
 from scootertrips.trips import (
+    ASSOC_CSV,
+    TRIP_CSV,
     WRITE_BLOCK,
     CleaningRules,
+    TripTable,
     clean_trips,
     crop_trips,
     extract_trips,
+    read_table_csv,
     read_trips_csv,
+    write_table_csv,
     write_trips_csv,
 )
 
@@ -224,6 +230,114 @@ def test_trips_csv_bad_timestamp_reports_its_line(tmp_path):
     with pytest.raises(MalformedRecord) as err:
         read_trips_csv(path)
     assert err.value.line_no == 3 and "later-junk" in err.value.reason
+
+
+def edit_line(path, line: int, edit) -> None:
+    """Replace the fields of one single-line CSV record with edit(fields)."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    lines[line - 1] = edit(lines[line - 1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+
+
+def renamed(name, new):
+    return lambda fields: [new if f == name else f for f in fields]
+
+
+def setting(col: int, text: str):
+    return lambda fields: fields[:col] + [text] + fields[col + 1:]
+
+
+@pytest.mark.parametrize("schema, line, edit, words", [
+    (TRIP_CSV, 1, renamed("start_ts", "start"), ["header column 6", "'start'", "'start_ts'"]),
+    (TRIP_CSV, 1, lambda fields: fields[:-1], ["header column 8", "'displacement_m'"]),
+    (TRIP_CSV, 1, lambda fields: fields + ["origin_poi"], ["header column 9", "'origin_poi'"]),
+    (TRIP_CSV, 3, lambda fields: fields[:-1], ["7 fields, expected 8"]),
+    (TRIP_CSV, 3, lambda fields: fields + ["1.0"], ["9 fields, expected 8"]),
+    (TRIP_CSV, 2, setting(1, "north"), ["origin_lat", "'north'"]),
+    (TRIP_CSV, 3, setting(7, ""), ["displacement_m", "''"]),
+    (ASSOC_CSV, 4, setting(12, "yes"), ["origin_reassigned", "'yes'"]),
+    (ASSOC_CSV, 2, setting(12, "True"), ["origin_reassigned", "'True'"]),
+    (ASSOC_CSV, 3, setting(11, "far"), ["dest_dist_m", "'far'"]),
+], ids=["header-renamed", "header-short", "header-long", "row-short", "row-long", "float", "float-empty",
+        "bool", "bool-capitalized", "assoc-float"])
+def test_table_csv_bad_input_names_line_and_column(tmp_path, schema, line, edit, words):
+    trips = [make_trip(f"S{i}")._replace(origin_poi="P", origin_dist_m=1.0, dest_poi="Q", dest_dist_m=2.0)
+             for i in range(4)]
+    path = tmp_path / "table.csv"
+    write_table_csv(table_of(trips), path, schema)
+    edit_line(path, line, edit)
+    with pytest.raises(MalformedRecord) as err:
+        read_table_csv(path, schema)
+    assert err.value.line_no == line
+    for word in words:
+        assert word in err.value.reason
+
+
+def test_empty_table_csv_needs_its_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(MalformedRecord, match="header column 1 is None, expected 'scooter_id'"):
+        read_trips_csv(path)
+    write_trips_csv(table_of([]), path)
+    assert len(read_trips_csv(path)) == 0
+
+
+def decoded(table: TripTable, schema) -> list[list]:
+    """The schema's columns of table as Python values, codes mapped to their strings."""
+    out = []
+    for _, field, kind in schema:
+        values = getattr(table, field).tolist()
+        out.append([getattr(table, kind)[v] for v in values] if kind in ("ids", "poi_ids") else values)
+    return out
+
+
+MULTILINE_ID = 'S,"7"\n2'  # quoted on write, and its record spans two lines
+
+
+@given(
+    ids=st.lists(st.text(alphabet='ab,"\n ', max_size=6), min_size=1, max_size=5, unique=True),
+    extra=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+    schema=st.sampled_from([TRIP_CSV, ASSOC_CSV]),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_table_csv_round_trip_with_quoted_ids(tmp_path_factory, ids, extra, seed, schema):
+    rng = np.random.default_rng(seed)
+    n = WRITE_BLOCK + extra
+    ids = [MULTILINE_ID] + [i for i in ids if i != MULTILINE_ID]
+    codes = rng.integers(len(ids), size=n)
+    codes[0] = 0  # the first record spans two lines
+    start = rng.integers(1_500_000_000, 1_600_000_000, size=n)
+    table = TripTable(
+        ids=ids, scooter=codes, start=start, end=start + rng.integers(0, 7200, size=n),
+        origin_lat=rng.uniform(-90, 90, n), origin_lon=rng.uniform(-180, 180, n),
+        dest_lat=rng.uniform(-90, 90, n), dest_lon=rng.uniform(-180, 180, n), displacement=rng.exponential(500, n),
+    )
+    if schema is ASSOC_CSV:
+        poi_ids = ids[::-1] + ["P\n"]
+        table = replace(
+            table, poi_ids=poi_ids, origin_poi=rng.integers(len(poi_ids), size=n), origin_dist=rng.exponential(30, n),
+            dest_poi=rng.integers(len(poi_ids), size=n), dest_dist=rng.exponential(30, n), reassigned=rng.random(n) < 0.3,
+        )
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    assert write_table_csv(table, path, schema) == n
+    back = read_table_csv(path, schema)
+    assert decoded(back, schema) == decoded(table, schema)
+    assert [getattr(back, f).dtype for _, f, _ in schema] == [getattr(table, f).dtype for _, f, _ in schema]
+
+    # a bad last field: its record ends on the line the error names
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    bad = int(rng.integers(1, n)) + 1  # a data record after the two-line first one
+    records[bad][-1] = "junk"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(records)
+    line = sum(1 + sum(f.count("\n") for f in record) for record in records[: bad + 1])
+    with pytest.raises(MalformedRecord) as err:
+        read_table_csv(path, schema)
+    assert err.value.line_no == line and "junk" in err.value.reason
 
 
 _SPOTS = [CITY, B500, offset_azimuthal(CITY, 0.0, 800.0), offset_azimuthal(CITY, 0.0, 0.5)]

@@ -4,8 +4,8 @@
 The recorded corpus answers every query the demo pipeline can issue: for each
 (cell, plan entry) on the 8x8 harvest grid and each (cell, densify text query)
 on the 15x15 grid, it stores the places matching the query term within the
-cell's circumradius. Queries with no matches stay unrecorded (the fixture
-client answers ZERO_RESULTS for those).
+cell's circumradius. Queries with no matches are recorded as ZERO_RESULTS, so
+a demo harvest reports no unrecorded queries.
 
 Run from the repo root: python3 tools/make_demo_fixtures.py
 """
@@ -97,18 +97,22 @@ def record_grid(responses: dict, grid, entries) -> None:
                 p for p in PLACES
                 if matches(p, kind, term) and haversine_m(cell.center, GeoPoint(p["lat"], p["lon"])) <= cell.circumradius_m
             ]
-            if not hits:
-                continue
             hits.sort(key=lambda p: p["place_id"])
             key = canonical_query(kind, cell.center, cell.circumradius_m, term)
-            responses[key] = {"status": "OK", "results": [result_record(p) for p in hits]}
+            responses[key] = {"status": "OK" if hits else "ZERO_RESULTS", "results": [result_record(p) for p in hits]}
 
 
-def main() -> None:
+def demo_responses() -> dict[str, dict]:
+    """The recorded response of every query the demo harvest and densify grids issue."""
     plan = load_plan(default_plan_path())
     responses: dict[str, dict] = {}
     record_grid(responses, make_grid(DEFAULT_REGION, 8, 8), [(e.kind, e.term) for e in plan])
     record_grid(responses, make_grid(DEFAULT_REGION, 15, 15), [("text", q) for q in DENSIFY_TEXT_QUERIES])
+    return responses
+
+
+def main() -> None:
+    responses = demo_responses()
     out = REPO / "demo" / "fixtures" / "places.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
