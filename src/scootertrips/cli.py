@@ -11,12 +11,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 query budget exhausted.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
 from .errors import BudgetExhausted, PipelineError, UsageError
+from .jsonio import write_json
 
 log = logging.getLogger(__name__)
 
@@ -63,14 +62,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=True)
-    if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-
 def _cmd_stage(args) -> int:
     """Run one pipeline stage, as `run` does, on inputs read back from the out
     dir; print its manifest stage entries as JSON."""
@@ -79,7 +70,7 @@ def _cmd_stage(args) -> int:
 
     cfg, _ = load_config(args.config)
     result = run_stage(args.command, cfg, args.out_dir, raw_out=getattr(args, "raw_out", None))
-    _write_json(result.stages, None)
+    write_json(result.stages)
     return EXIT_OK
 
 
@@ -92,7 +83,7 @@ def _cmd_score(args) -> int:
         cadence = args.cadence
     extracted = read_trips_csv(args.extracted)
     report = score(truth, extracted, cadence, timezone_name=tz)
-    _write_json(report.to_dict(), args.out)
+    write_json(report.to_dict(), args.out)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import time
 from pathlib import Path
@@ -14,6 +15,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint
 from .ingest import FORMATS
+from .jsonio import decode, read_json
 from .purpose import TimeSlot
 from .trips import CleaningRules, DEFAULT_TIMEZONE
 
@@ -26,44 +28,17 @@ DEFAULT_REGION = Bbox(
 )
 
 
-def parse_bbox(spec) -> Bbox:
-    """Accept 'minlat,minlon,maxlat,maxlon' or a {min_lat,...} mapping."""
-    if isinstance(spec, Bbox):
-        return spec
-    try:
-        if isinstance(spec, str):
-            parts = [float(x) for x in spec.split(",")]
-        elif isinstance(spec, dict):
-            parts = [float(spec[key]) for key in ("min_lat", "min_lon", "max_lat", "max_lon")]
-        else:
-            parts = []
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bbox {spec!r} does not give 4 numbers: {exc!r}") from None
-    if len(parts) != 4:
-        raise InvalidConfig(f"bbox must be 4 comma-separated numbers or a min_lat/min_lon/max_lat/max_lon object, got {spec!r}")
-    return Bbox(GeoPoint(parts[0], parts[1]), GeoPoint(parts[2], parts[3]))
-
-
-def parse_thresholds(spec) -> list[float]:
-    """Accept 'start:stop:step' (stop inclusive) or a comma list."""
-    try:
-        if isinstance(spec, (list, tuple)):
-            out = [float(x) for x in spec]
-        elif ":" in str(spec):
-            start, stop, step = (float(x) for x in str(spec).split(":"))
-            if step <= 0 or stop < start:
-                raise InvalidConfig(f"bad threshold range {spec!r}")
-            out = []
-            t = start
-            while t <= stop + 1e-9:
-                out.append(round(t, 9))
-                t += step
-        else:
-            out = [float(x) for x in str(spec).split(",")]
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"thresholds {spec!r} are not 'start:stop:step' or a list of numbers: {exc!r}") from None
-    if sorted(out) != out or any(t < 0 for t in out):
-        raise InvalidConfig("thresholds must be ascending and non-negative")
+def parse_thresholds(spec: str) -> list[float]:
+    """The thresholds 'start:stop:step' gives, stop inclusive; ValueError
+    unless 0 <= start <= stop < inf and step > 0."""
+    start, stop, step = (float(x) for x in spec.split(":"))
+    if not (0 <= start <= stop < math.inf and step > 0):
+        raise ValueError("the range needs 0 <= start <= stop, a finite stop and step > 0")
+    out = []
+    t = start
+    while t <= stop + 1e-9:
+        out.append(round(t, 9))
+        t += step
     return out
 
 
@@ -89,10 +64,20 @@ def parse_drill_spec(spec: str, groups=None) -> tuple[str, str]:
 
 
 @dataclass
-class PipelineConfig:
+class InputPaths:
+    """The config's paths object: input files, relative to the config file's directory."""
+
     feed: str | None = None
     scenario: str | None = None
     fixtures_dir: str | None = None
+    plan: str | None = None
+    taxonomy: str | None = None
+    buffers: str | None = None
+    manual_pois: str | None = None
+
+
+@dataclass
+class PipelineConfig(InputPaths):
     feed_format: str = "jsonl"
     bbox: Bbox = field(default_factory=lambda: DEFAULT_REGION)
     harvest_rows: int = 8
@@ -101,10 +86,6 @@ class PipelineConfig:
     densify_rows: int = 15
     densify_cols: int = 15
     densify_fraction: float = 0.25
-    plan: str | None = None
-    taxonomy: str | None = None
-    buffers: str | None = None
-    manual_pois: str | None = None
     cleaning: CleaningRules = field(default_factory=CleaningRules)
     cutoff_m: float = 50.0
     thresholds: list[float] = field(default_factory=lambda: parse_thresholds("0:100:5"))
@@ -129,72 +110,45 @@ class PipelineConfig:
             parse_drill_spec(spec)
 
 
+_CONFIG_PARSE = {"thresholds": parse_thresholds, "cleaning.day_start": time.fromisoformat,
+                 "cleaning.day_end": time.fromisoformat}
+
+
 def load_config(path) -> tuple[PipelineConfig, dict]:
     """Load and validate a pipeline config; returns (config, raw dict for hashing).
 
+    The keys are PipelineConfig's fields, the InputPaths ones under paths, plus version and
+    cleaning.timezone (which must equal timezone); the retired ingest_bbox is ignored.
     Relative paths inside the file resolve against the file's directory.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from None
+    where = f"config {path}"
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
-        raise InvalidConfig("config root must be an object")
+        raise InvalidConfig(f"{where}: the root is not an object")
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise InvalidConfig(f"unsupported config version {version}; this build reads version {CONFIG_VERSION}")
-
-    base = path.parent
-    kwargs: dict = {}
-    paths = raw.get("paths", {})
-    if not isinstance(paths, dict):
-        raise InvalidConfig(f"paths must be an object, got {paths!r}")
-    for key in ("feed", "scenario", "fixtures_dir", "plan", "taxonomy", "buffers", "manual_pois"):
-        if paths.get(key) is not None:
-            p = Path(paths[key])
-            kwargs[key] = str(p if p.is_absolute() else base / p)
-    for key in (
-        "feed_format",
-        "harvest_rows",
-        "harvest_cols",
-        "densify",
-        "densify_rows",
-        "densify_cols",
-        "densify_fraction",
-        "cutoff_m",
-        "timezone",
-        "query_budget",
-        "drilldowns",
-    ):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "bbox" in raw and raw["bbox"] is not None:
-        kwargs["bbox"] = parse_bbox(raw["bbox"])
-    tz = raw.get("timezone", DEFAULT_TIMEZONE)
-    cleaning = raw.get("cleaning", {})
-    if not isinstance(cleaning, dict):
-        raise InvalidConfig(f"cleaning must be an object, got {cleaning!r}")
-    if cleaning.get("timezone", tz) != tz:
-        raise InvalidConfig(
-            f"cleaning.timezone {cleaning['timezone']!r} differs from timezone {tz!r}; one zone drives "
-            "the day cut, the hours filter and the report slots"
-        )
-    kwargs["cleaning"] = rules = CleaningRules.from_dict(cleaning)
+    obj = {key: value for key, value in raw.items() if key not in ("version", "ingest_bbox")}
+    paths = vars(decode(InputPaths, obj.pop("paths", {}), where, path="paths"))
+    if obj.keys() & paths.keys():
+        raise InvalidConfig(f"{where}: unknown keys {sorted(obj.keys() & paths.keys())}; input files go under paths")
+    tz = obj.get("timezone", DEFAULT_TIMEZONE)
+    if isinstance(obj.get("cleaning"), dict):
+        obj["cleaning"] = cleaning = dict(obj["cleaning"])
+        if cleaning.pop("timezone", tz) != tz:
+            raise InvalidConfig(f"cleaning.timezone {raw['cleaning']['timezone']!r} differs from timezone {tz!r}; "
+                                "one zone drives the day cut, the hours filter and the report slots")
+    paths = {key: p and str(path.parent / p) for key, p in paths.items()}
+    cfg = decode(PipelineConfig, {**obj, **paths}, where, _CONFIG_PARSE)
     # a kept trip starts in [day_start, day_end); the report puts every one in a time slot
+    rules = cfg.cleaning
     slots_start = time(*divmod(min(s.start_minute for s in TimeSlot), 60))
     slots_end = time(*divmod(max(s.end_minute for s in TimeSlot), 60))
     if rules.day_start < slots_start:
         raise InvalidConfig(f"cleaning.day_start {rules.day_start} is before {slots_start}, where the report's time slots begin")
     if rules.day_end > slots_end:
         raise InvalidConfig(f"cleaning.day_end {rules.day_end} is after {slots_end}, where the report's time slots end")
-    if "thresholds" in raw:
-        kwargs["thresholds"] = parse_thresholds(raw["thresholds"])
-    try:
-        cfg = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad config field: {exc}") from None
     return cfg, raw
 
 

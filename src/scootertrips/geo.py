@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyIndex, InvalidBbox
+from .jsonio import held_as
 from .kernels import EARTH_RADIUS_M, haversine_arrays
 
 # queries nearest_k_batch scores at once: bounds its (queries, k + 8) candidate temporaries
@@ -37,8 +38,8 @@ def is_valid_point(lat: float, lon: float) -> bool:
 
 @dataclass(frozen=True)
 class Bbox:
-    min: GeoPoint
-    max: GeoPoint
+    min: GeoPoint = held_as("min_lat", "min_lon")
+    max: GeoPoint = held_as("max_lat", "max_lon")
 
     def __post_init__(self):
         if not (is_valid_point(*self.min) and is_valid_point(*self.max)):

@@ -122,6 +122,16 @@ def _is_null_id(raw) -> bool:
     return raw is None or str(raw).strip().lower() in ("", "null")
 
 
+def check_utf8(text: str, line_no: int = 0) -> str:
+    """text, unless it holds a byte that is not UTF-8 (read with errors="surrogateescape")."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord(line_no, "a byte that is not UTF-8") from None
+    return text
+
+
 def parse_ts(raw: str, line_no: int) -> datetime:
     try:
         ts = datetime.fromisoformat(str(raw).replace("Z", "+00:00"))
@@ -270,7 +280,7 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(check_utf8(line, line_no))
         except json.JSONDecodeError as exc:
             raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
         if not isinstance(obj, dict) or "ts" not in obj or "scooters" not in obj:
@@ -296,9 +306,12 @@ def _csv_columns(rows: list[list[str]], line_nos: list[int]) -> tuple[list, np.n
     except ValueError:
         pass
     else:
-        if _in_range(lat, lon):
+        if _in_range(lat, lon) and "".join(raw_ids).isascii():
             return list(raw_ids), lat, lon
-    points = [_check_coord(row[2], row[3], ln) for row, ln in zip(rows, line_nos)]
+    points = []
+    for (_, raw_id, lat, lon), ln in zip(rows, line_nos):
+        check_utf8(raw_id, ln)
+        points.append(_check_coord(lat, lon, ln))
     return list(raw_ids), *_scalar_coords(points)
 
 
@@ -334,9 +347,9 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
                 line_nos = []
             rows.append(row)
             line_nos.append(line_no)
-    except csv.Error:  # the reader failed on a row; a bad row before it is reported first
+    except csv.Error as exc:  # the reader failed on a row; a bad row before it is reported first
         _csv_columns(rows, line_nos)
-        raise
+        raise MalformedRecord(reader.line_num, str(exc)) from None
     if current_ts is not None:
         yield builder.build(current_ts, *_csv_columns(rows, line_nos))
 
@@ -355,12 +368,12 @@ def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
     def gen() -> Iterator[SnapshotBatch]:
         close = False
         if isinstance(source, (str, Path)):
-            fh = open(source, "r", encoding="utf-8")
+            fh = open(source, "r", encoding="utf-8", errors="surrogateescape")
             close = True
         elif isinstance(source, io.TextIOBase):
             fh = source
         else:
-            fh = io.TextIOWrapper(source, encoding="utf-8")  # raw byte stream
+            fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")  # raw byte stream
         try:
             inner = _parse_jsonl(fh, stats) if format == "jsonl" else _parse_csv(fh, stats)
             yield from inner

@@ -15,7 +15,6 @@ byte-identical; the manifest's created_at field is the only exception.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import platform
 from dataclasses import asdict, dataclass, field
@@ -36,6 +35,7 @@ from .config import PipelineConfig, config_hash, parse_drill_spec
 from .errors import BudgetExhausted, ClientError, InvalidConfig, PipelineError
 from .geo import make_grid
 from .ingest import parse_snapshot_stream
+from .jsonio import write_json
 from .poi import (
     FixturePlacesClient,
     QueryBudget,
@@ -90,12 +90,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass
@@ -161,7 +155,7 @@ def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResu
     cleaned, clean_report = clean_trips(raw_trips, cfg.cleaning, cfg.timezone)
     paths = [out_dir / TRIPS, out_dir / "cleaning_report.json"]
     write_trips_csv(cleaned, paths[0])
-    _write_json(asdict(clean_report), paths[1])
+    write_json(asdict(clean_report), paths[1])
     stages = {
         "ingest": stream.stats.to_dict(),
         "extract": {"raw_trips": len(raw_trips)},
@@ -366,12 +360,12 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
     except Exception as exc:
         manifest.status = "FAILED"
         manifest.failed_stage = stage
-        _write_json(manifest.to_dict(), out_dir / "manifest.json")
+        write_json(manifest.to_dict(), out_dir / "manifest.json")
         log.error("pipeline failed at stage %s: %s", stage, exc)
         if isinstance(exc, BudgetExhausted):
             raise  # keeps its dedicated exit code
         if isinstance(exc, PipelineError):
             raise StageFailure(stage, exc) from exc
         raise
-    _write_json(manifest.to_dict(), out_dir / "manifest.json")
+    write_json(manifest.to_dict(), out_dir / "manifest.json")
     return manifest

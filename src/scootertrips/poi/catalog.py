@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..errors import InvalidConfig, MissingTypes, PipelineError, TargetNotFound, UnmappedPrimaryType
+from ..errors import InvalidConfig, MissingTypes, TargetNotFound, UnmappedPrimaryType
 from ..geo import GeoPoint, offset_azimuthal
+from ..jsonio import decode, encode, held_as, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -23,7 +23,7 @@ DEFAULT_EXCLUDED_TYPES = ("bus_station",)  # association volume would swamp ever
 class RawPoi:
     place_id: str
     name: str
-    position: GeoPoint
+    position: GeoPoint = held_as("lat", "lon")
     predefined_types: tuple[str, ...]
     vicinity: str
     query_type: str
@@ -34,7 +34,7 @@ class RawPoi:
 class Poi:
     id: str
     name: str
-    position: GeoPoint
+    position: GeoPoint = held_as("lat", "lon")
     predefined_types: tuple[str, ...]
     primary_type: str
     group: str | None = None
@@ -88,27 +88,16 @@ def _data_path(name: str) -> Path:
     return Path(str(resources.files("scootertrips").joinpath("data", name)))
 
 
-def default_taxonomy_path() -> Path:
-    return _data_path("taxonomy.json")
-
-
-def default_buffer_specs_path() -> Path:
-    return _data_path("buffers.json")
-
-
-def default_manual_pois_path() -> Path:
-    return _data_path("manual_pois.json")
-
-
 def default_plan_path() -> Path:
     return _data_path("plan.json")
 
 
 def load_taxonomy(path=None) -> GroupTaxonomy:
-    path = path or default_taxonomy_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return GroupTaxonomy(groups=tuple(obj["groups"]), mapping=dict(obj["mapping"]))
+    path = path or _data_path("taxonomy.json")
+    obj = read_json(path, "taxonomy")
+    if isinstance(obj, dict):
+        obj.pop("notes", None)
+    return decode(GroupTaxonomy, obj, f"taxonomy {path}")
 
 
 def assign_primary(raw: RawPoi) -> Poi:
@@ -147,13 +136,22 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
 
 
-def add_manual_pois(catalog: Sequence[Poi], entries: Iterable[dict]) -> list[Poi]:
+@dataclass(frozen=True)
+class ManualEntry:
+    """A hand-curated POI, as the manual POIs file lists it."""
+
+    name: str
+    lat: float
+    lon: float
+    primary_type: str
+
+
+def add_manual_pois(catalog: Sequence[Poi], entries: Iterable[ManualEntry]) -> list[Poi]:
     """Append hand-curated POIs (source=manual); colocations resolve later in the merge."""
     out = list(catalog)
     used = {p.id for p in out}
     for entry in entries:
-        primary = str(entry["primary_type"])
-        base = f"manual:{_slug(str(entry['name']))}"
+        base = f"manual:{_slug(entry.name)}"
         pid = base
         k = 2
         while pid in used:
@@ -163,21 +161,20 @@ def add_manual_pois(catalog: Sequence[Poi], entries: Iterable[dict]) -> list[Poi
         out.append(
             Poi(
                 id=pid,
-                name=str(entry["name"]),
-                position=GeoPoint(float(entry["lat"]), float(entry["lon"])),
-                predefined_types=(primary,),
-                primary_type=primary,
+                name=entry.name,
+                position=GeoPoint(entry.lat, entry.lon),
+                predefined_types=(entry.primary_type,),
+                primary_type=entry.primary_type,
                 source="manual",
             )
         )
     return out
 
 
-def load_manual_entries(path=None) -> list[dict]:
-    path = path or default_manual_pois_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return list(obj["entries"])
+def load_manual_entries(path=None) -> list[ManualEntry]:
+    path = path or _data_path("manual_pois.json")
+    entries = read_json(path, "manual POIs", "entries")
+    return decode(list[ManualEntry], entries, f"manual POIs {path}", path="entries")
 
 
 @dataclass(frozen=True)
@@ -193,19 +190,35 @@ class BufferSpec:
     rings: tuple[BufferRing, ...]
 
 
+@dataclass(frozen=True)
+class _RingEntry:
+    """A ring of the buffers file: count points radius_m from each target."""
+
+    count: int
+    radius_m: float
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidConfig(f"a buffer ring needs count >= 1, got {self.count}")
+
+
+@dataclass(frozen=True)
+class _SpecEntry(_RingEntry):
+    """A spec of the buffers file: its targets, its ring and a wider ring2."""
+
+    selector: dict
+    ring2: _RingEntry | None = None
+
+
 def load_buffer_specs(path=None) -> list[BufferSpec]:
-    path = path or default_buffer_specs_path()
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    path = path or _data_path("buffers.json")
     specs = []
-    for item in obj["specs"]:
-        rings = [BufferRing(count=int(item["count"]), radius_m=float(item["radius_m"]))]
-        if item.get("ring2"):
-            r2 = item["ring2"]
-            # interleave the wider ring halfway between the inner bearings
-            start = 360.0 / (2 * int(r2["count"]))
-            rings.append(BufferRing(count=int(r2["count"]), radius_m=float(r2["radius_m"]), start_bearing_deg=start))
-        specs.append(BufferSpec(selector=dict(item["selector"]), rings=tuple(rings)))
+    entries = read_json(path, "buffer specs", "specs")
+    for spec in decode(list[_SpecEntry], entries, f"buffer specs {path}", path="specs"):
+        rings = (BufferRing(spec.count, spec.radius_m),)
+        if r2 := spec.ring2:  # interleaved halfway between the inner bearings
+            rings += (BufferRing(r2.count, r2.radius_m, start_bearing_deg=360.0 / (2 * r2.count)),)
+        specs.append(BufferSpec(selector=spec.selector, rings=rings))
     return specs
 
 
@@ -344,7 +357,7 @@ def collapse_harvest_duplicates(raw_pois: Sequence[RawPoi]) -> tuple[list[RawPoi
 def normalize_catalog(
     raw_pois: Sequence[RawPoi],
     taxonomy: GroupTaxonomy,
-    manual_entries: Iterable[dict] = (),
+    manual_entries: Iterable[ManualEntry] = (),
     buffer_specs: Iterable[BufferSpec] = (),
     excluded_types: Sequence[str] = DEFAULT_EXCLUDED_TYPES,
 ) -> tuple[list[Poi], NormalizeReport]:
@@ -371,50 +384,15 @@ def normalize_catalog(
     return catalog, report
 
 
-def _json_fields(cls) -> list[str]:
-    """A Poi's or RawPoi's dataclass fields but position, which its JSON object holds as lat/lon."""
-    return [f.name for f in fields(cls) if f.name != "position"]
-
-
-def _save(cls, records: Sequence, path) -> None:
-    names = _json_fields(cls)
-    objs = []
-    for r in records:
-        obj = {name: getattr(r, name) for name in names}
-        obj["lat"], obj["lon"] = r.position
-        objs.append(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(objs, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _load(cls, path) -> list:
-    """The cls records of a _save file; a file that is not JSON, a record with
-    a missing or unknown key, or a non-numeric lat/lon raises PipelineError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            items = json.load(fh)
-        except ValueError as exc:
-            raise PipelineError(f"{path} is not JSON: {exc}") from None
-    keys = {*_json_fields(cls), "lat", "lon"}
-    records = []
-    for i, obj in enumerate(items):
-        got = set(obj) if isinstance(obj, dict) else set()
-        if got != keys:
-            raise PipelineError(
-                f"{path} record {i}: missing keys {sorted(keys - got)}, unknown keys {sorted(got - keys)}"
-            )
-        try:
-            position = GeoPoint(float(obj.pop("lat")), float(obj.pop("lon")))
-        except (TypeError, ValueError) as exc:
-            raise PipelineError(f"{path} record {i}: lat/lon: {exc}") from None
-        obj["predefined_types"] = tuple(obj["predefined_types"])
-        records.append(cls(position=position, **obj))
-    return records
+    """The cls records of a JSON list of encoded records; another root or a
+    record that decode rejects raises InvalidConfig naming the file and record."""
+    items = decode(list, read_json(path, "POIs"), f"POIs {path}")
+    return [decode(cls, obj, f"{path} record {i}") for i, obj in enumerate(items)]
 
 
 def save_catalog(catalog: Sequence[Poi], path) -> None:
-    _save(Poi, catalog, path)
+    write_json([encode(p) for p in catalog], path)
 
 
 def load_catalog(path) -> list[Poi]:
@@ -422,7 +400,7 @@ def load_catalog(path) -> list[Poi]:
 
 
 def save_raw_pois(raw_pois: Sequence[RawPoi], path) -> None:
-    _save(RawPoi, raw_pois, path)
+    write_json([encode(r) for r in raw_pois], path)
 
 
 def load_raw_pois(path) -> list[RawPoi]:

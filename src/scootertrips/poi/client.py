@@ -10,7 +10,6 @@ found so far when the budget runs out or the client fails.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Iterable, Sequence
 
 from ..errors import BudgetExhausted, ClientError, InvalidConfig
 from ..geo import GeoPoint, GridCell, GridSpec, is_valid_point, subdivide_cell
+from ..jsonio import decode, read_json
 from .catalog import RawPoi
 
 log = logging.getLogger(__name__)
@@ -52,9 +52,7 @@ class QueryPlanEntry:
 
 
 def load_plan(path) -> list[QueryPlanEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [QueryPlanEntry(kind=e["kind"], term=e["term"]) for e in obj["queries"]]
+    return decode(list[QueryPlanEntry], read_json(path, "plan", "queries"), f"plan {path}", path="queries")
 
 
 def normalize_query_type(text_query: str) -> str:
@@ -83,11 +81,7 @@ class FixturePlacesClient:
         if not files:
             raise InvalidConfig(f"no fixture files found in {self.fixtures_dir}")
         for f in files:
-            with open(f, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-            if not isinstance(blob, dict):
-                raise InvalidConfig(f"fixture file {f} must hold an object mapping query -> response")
-            self._responses.update(blob)
+            self._responses.update(decode(dict, read_json(f, "fixture file"), f"fixture file {f}"))
 
     def search(self, kind: str, center: GeoPoint, radius_m: float, term: str) -> dict:
         hit = self._responses.get(canonical_query(kind, center, radius_m, term))

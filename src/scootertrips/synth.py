@@ -7,20 +7,20 @@ same config always produces byte-identical feeds.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .config import check_timezone, parse_bbox
+from .config import DEFAULT_REGION, check_timezone
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from .ingest import SnapshotBatch, write_snapshot_stream
+from .jsonio import decode, encode, held_as, read_json, write_json
 from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, TripTable
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ SLOT_WINDOWS = {
     "night": (19 * 3600, 21 * 3600),
 }
 DEFAULT_TRIP_RATES = {"morning": 0.4, "lunch": 0.5, "afternoon": 0.7, "evening": 0.6, "night": 0.5}
-
+_SCENARIO_PARSE = {"start_date": date.fromisoformat}
 
 
 @dataclass
@@ -44,12 +44,8 @@ class ScenarioConfig:
     start_date: date = date(2019, 2, 4)
     cadence_s: int = 600
     timezone: str = DEFAULT_TIMEZONE
-    bbox: Bbox = field(
-        default_factory=lambda: Bbox(
-            GeoPoint(33.74837933333333, -84.40562333333332), GeoPoint(33.789279, -84.35961499999999)
-        )
-    )
-    trip_rates: dict = field(default_factory=lambda: dict(DEFAULT_TRIP_RATES))
+    bbox: Bbox = field(default_factory=lambda: DEFAULT_REGION)
+    trip_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TRIP_RATES))
     displacement_min_m: float = 100.0
     displacement_max_m: float = 2500.0
     speed_min_mps: float = 2.0
@@ -77,37 +73,18 @@ class ScenarioConfig:
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         """A scenario from its JSON object; an unknown key or a value that does
         not parse raises InvalidConfig naming the key."""
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidConfig(f"unknown scenario keys: {unknown}")
-        kwargs = dict(obj)
-        parsers = {
-            "start_date": date.fromisoformat,
-            "bbox": parse_bbox,
-            "anchors": lambda anchors: [GeoPoint(a[0], a[1]) for a in anchors] if anchors else anchors,
-        }
-        for key, parse in parsers.items():
-            if key in kwargs:
-                try:
-                    kwargs[key] = parse(kwargs[key])
-                except (IndexError, KeyError, TypeError, ValueError) as exc:
-                    raise InvalidConfig(f"scenario {key} {kwargs[key]!r} does not parse: {exc!r}") from None
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise InvalidConfig(f"bad scenario value: {exc}") from None
+        return decode(cls, obj, "scenario", _SCENARIO_PARSE)
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return decode(cls, read_json(path, "scenario"), f"scenario {path}", _SCENARIO_PARSE)
 
 
 @dataclass(frozen=True)
 class TruthTrip:
     scooter_id: str
-    origin: GeoPoint
-    destination: GeoPoint
+    origin: GeoPoint = held_as("origin_lat", "origin_lon")
+    destination: GeoPoint = held_as("dest_lat", "dest_lon")
     start_epoch_s: float  # continuous, not quantized to the feed cadence
     end_epoch_s: float
 
@@ -285,41 +262,21 @@ def write_feed(batches: Sequence[SnapshotBatch], path, *, null_fill_to: int | No
 
 
 def save_truth(truth: Sequence[TruthTrip], path, *, cadence_s: int, timezone_name: str) -> None:
-    payload = {
-        "cadence_s": cadence_s,
-        "timezone": timezone_name,
-        "trips": [
-            {
-                "scooter_id": t.scooter_id,
-                "origin_lat": t.origin.lat,
-                "origin_lon": t.origin.lon,
-                "dest_lat": t.destination.lat,
-                "dest_lon": t.destination.lon,
-                "start_epoch_s": t.start_epoch_s,
-                "end_epoch_s": t.end_epoch_s,
-            }
-            for t in truth
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"cadence_s": cadence_s, "timezone": timezone_name, "trips": [encode(t) for t in truth]}, path)
+
+
+@dataclass
+class _TruthFile:
+    """What save_truth writes."""
+
+    trips: list[TruthTrip]
+    cadence_s: int = 600
+    timezone: str = DEFAULT_TIMEZONE
 
 
 def load_truth(path) -> tuple[list[TruthTrip], int, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    trips = [
-        TruthTrip(
-            scooter_id=o["scooter_id"],
-            origin=GeoPoint(o["origin_lat"], o["origin_lon"]),
-            destination=GeoPoint(o["dest_lat"], o["dest_lon"]),
-            start_epoch_s=float(o["start_epoch_s"]),
-            end_epoch_s=float(o["end_epoch_s"]),
-        )
-        for o in payload["trips"]
-    ]
-    return trips, int(payload.get("cadence_s", 600)), str(payload.get("timezone", DEFAULT_TIMEZONE))
+    truth = decode(_TruthFile, read_json(path, "truth"), f"truth {path}")
+    return truth.trips, truth.cadence_s, truth.timezone
 
 
 def score(

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidConfig, MalformedRecord
 from .geo import Bbox
-from .ingest import SnapshotBatch, format_ts, parse_ts
+from .ingest import SnapshotBatch, check_utf8, format_ts, parse_ts
 
 log = logging.getLogger(__name__)
 
@@ -111,19 +111,6 @@ class CleaningRules:
             )
         if self.day_start >= self.day_end:
             raise InvalidConfig(f"day_start {self.day_start} must precede day_end {self.day_end}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CleaningRules":
-        """The rules a config's cleaning object sets; other keys are ignored."""
-        kwargs = {}
-        for key, parse in (("min_displacement_m", float), ("max_displacement_m", float),
-                           ("day_start", time.fromisoformat), ("day_end", time.fromisoformat)):
-            if key in obj:
-                try:
-                    kwargs[key] = parse(obj[key])
-                except (TypeError, ValueError) as exc:
-                    raise InvalidConfig(f"cleaning.{key} {obj[key]!r} does not parse: {exc}") from None
-        return cls(**kwargs)
 
 
 @dataclass
@@ -311,8 +298,9 @@ def write_table_csv(table: TripTable, path, schema) -> int:
 
 
 _PARSE = {
+    "ids": check_utf8, "poi_ids": check_utf8,  # the reader re-raises MalformedRecord with the line
     "float": float,
-    "ts": lambda text: int(parse_ts(text, 0).timestamp()),  # the reader re-raises with the line
+    "ts": lambda text: int(parse_ts(text, 0).timestamp()),
     "bool": {"true": True, "false": False}.__getitem__,
 }
 _DTYPE = {"float": np.float64, "ts": np.int64, "bool": bool}
@@ -322,27 +310,31 @@ def read_table_csv(path, schema) -> TripTable:
     """The TripTable a write_table_csv file with this schema holds.
 
     The header must be the schema's headers. Rows are parsed in file order,
-    so the first bad row raises MalformedRecord, at the line where that row
-    ends. Codes into ids and poi_ids follow first sight, column by column in
-    schema order.
+    so the first bad row (a field that does not parse, an id holding a byte
+    that is not UTF-8, a quote left open) raises MalformedRecord, at the
+    line where that row ends. Codes into ids and poi_ids follow first sight,
+    column by column in schema order.
     """
     headers = [header for header, _, _ in schema]
     columns: dict[str, list] = {field: [] for _, field, _ in schema}
-    cells = [(header, columns[field].append, _PARSE.get(kind, str)) for header, field, kind in schema]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    cells = [(header, columns[field].append, _PARSE[kind]) for header, field, kind in schema]
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, [])
-        if got != headers:
-            col, (found, want) = next((i, p) for i, p in enumerate(zip_longest(got, headers), 1) if p[0] != p[1])
-            raise MalformedRecord(1, f"header column {col} is {found!r}, expected {want!r}")
-        for row in reader:
-            if len(row) != len(headers):
-                raise MalformedRecord(reader.line_num, f"{len(row)} fields, expected {len(headers)}")
-            for (header, append, parse), text in zip(cells, row):
-                try:
-                    append(parse(text))
-                except (KeyError, ValueError, MalformedRecord):
-                    raise MalformedRecord(reader.line_num, f"bad {header} {text!r}") from None
+        try:
+            got = next(reader, [])
+            if got != headers:
+                col, (found, want) = next((i, p) for i, p in enumerate(zip_longest(got, headers), 1) if p[0] != p[1])
+                raise MalformedRecord(1, f"header column {col} is {found!r}, expected {want!r}")
+            for row in reader:
+                if len(row) != len(headers):
+                    raise MalformedRecord(reader.line_num, f"{len(row)} fields, expected {len(headers)}")
+                for (header, append, parse), text in zip(cells, row):
+                    try:
+                        append(parse(text))
+                    except (KeyError, ValueError, MalformedRecord):
+                        raise MalformedRecord(reader.line_num, f"bad {header} {text!r}") from None
+        except csv.Error as exc:  # a quote left open runs the rest of the file into one field
+            raise MalformedRecord(reader.line_num, str(exc)) from None
     codes: dict[str, dict[str, int]] = {}
     arrays = {}
     for _, field, kind in schema:

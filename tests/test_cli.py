@@ -2,6 +2,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -402,6 +403,87 @@ def test_score_needs_a_trips_csv(demo_run, capsys, caplog):
     code = main(["score", "--truth", str(demo_run / "truth.json"), "--extracted", str(demo_run / "assoc.csv")])
     assert code == EXIT_DATA
     assert "header column 9 is 'origin_poi'" in capsys.readouterr().err and "Traceback" not in caplog.text
+
+
+DATA = REPO / "src" / "scootertrips" / "data"
+
+
+def bad_data_file(name: str, edit):
+    """The bundled data file name with edit applied (or replaced by edit's
+    text), read by the stage that reads it."""
+    def setup(tmp_path, out):
+        path = tmp_path / name
+        if isinstance(edit, str):
+            path.write_text(edit)
+        else:
+            obj = json.loads((DATA / name).read_text())
+            edit(obj)
+            path.write_text(json.dumps(obj))
+        key = name.removesuffix(".json")
+        paths = {k: str(DEMO / v) for k, v in json.loads((DEMO / "config.json").read_text())["paths"].items()}
+        config = write_config(tmp_path, paths={**paths, key: str(path)})
+        return ["harvest" if key == "plan" else "normalize", "--config", str(config), "--out-dir", str(out)]
+    return setup
+
+
+def bad_config(edit=None, **overrides):
+    def setup(tmp_path, out):
+        config = write_config(tmp_path, **overrides)
+        if edit:
+            config.write_bytes(edit(config.read_bytes()))
+        return ["run", "--config", str(config), "--out-dir", str(out)]
+    return setup
+
+
+def bad_catalog(edit):
+    def setup(tmp_path, out):
+        rewrite_json(out / "catalog.json", edit)
+        return ["associate", "--config", str(DEMO / "config.json"), "--out-dir", str(out)]
+    return setup
+
+
+def truth_without_trips(tmp_path, out):
+    rewrite_json(out / "truth.json", lambda truth: truth.pop("trips"))
+    return ["score", "--truth", str(out / "truth.json"), "--extracted", str(out / "trips.csv")]
+
+
+@pytest.mark.parametrize("setup, words", [
+    (bad_data_file("taxonomy.json", lambda t: t.pop("groups")), ["taxonomy.json", "missing keys ['groups']"]),
+    (bad_data_file("taxonomy.json", lambda t: t.update(groups=5)), ["taxonomy.json", "groups 5 is not a list"]),
+    (bad_data_file("taxonomy.json", "{groups"), ["taxonomy.json is not JSON", "line 1"]),
+    (bad_data_file("buffers.json", lambda b: b["specs"][1].update(count="x")), ["buffers.json", "specs[1].count 'x'"]),
+    (bad_data_file("buffers.json", lambda b: b.pop("specs")), ["buffers.json: the root is not an object of specs"]),
+    (bad_data_file("manual_pois.json", lambda m: m["entries"][2].pop("lat")), ["manual_pois.json", "entries[2].lat"]),
+    (bad_data_file("plan.json", lambda p: p["queries"][3].pop("term")), ["plan.json", "queries[3].term"]),
+    (bad_config(lambda text: text.replace(b'"cutoff_m"', b'"cutoff\xff_m"')), ["config.json is not JSON", "0xff"]),
+    (truth_without_trips, ["truth.json", "missing keys ['trips']"]),
+    (bad_catalog(lambda records: records[3].update(predefined_types=5)), ["catalog.json record 3", "predefined_types 5"]),
+    (bad_config(cutof_m=5), ["config.json", "unknown keys ['cutof_m']"]),
+    (bad_config(densify="false"), ["config.json", "densify 'false'"]),
+    (bad_config(harvest_rows=2.5), ["config.json", "harvest_rows 2.5"]),
+    (bad_config(cutoff_m=True), ["config.json", "cutoff_m True"]),
+    (bad_config(cleaning={"day_strat": "07:00"}), ["config.json", "unknown keys ['cleaning.day_strat']"]),
+    (bad_catalog(lambda records: records[2].update(name=7)), ["catalog.json record 2", "name 7"]),
+], ids=["taxonomy-no-groups", "taxonomy-groups-number", "taxonomy-not-json", "buffer-count-text", "buffers-no-specs",
+        "manual-no-lat", "plan-no-term", "config-not-utf8", "truth-no-trips", "catalog-types-number",
+        "config-unknown-key", "config-densify-text", "config-rows-fraction", "config-cutoff-bool",
+        "config-cleaning-unknown-key", "catalog-name-number"])
+def test_bad_input_file_is_a_data_error(demo_run, tmp_path, capsys, caplog, setup, words):
+    out = tmp_path / "out"
+    shutil.copytree(demo_run, out)
+    assert main(setup(tmp_path, out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "unexpected error" not in err and "Traceback" not in caplog.text
+    for word in words:
+        assert word in err
+
+
+def test_config_keys_outside_the_schema(tmp_path):
+    assert load_config(write_config(tmp_path, ingest_bbox=True))[0] == load_config(DEMO / "config.json")[0]
+    for overrides, words in [({"notes": "x"}, "unknown keys ['notes']"), ({"feed": "x.jsonl"}, "unknown keys ['feed']"),
+                             ({"paths": {"feeed": "x.jsonl"}}, "unknown keys ['paths.feeed']")]:
+        with pytest.raises(InvalidConfig, match=re.escape(words)):
+            load_config(write_config(tmp_path, **overrides))
 
 
 @pytest.mark.parametrize("spec", ["Business", "Busines:Nothing"])

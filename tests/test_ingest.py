@@ -196,6 +196,29 @@ def test_parses_binary_byte_stream():
     assert len(batches) == 1 and stream.stats.retained == 1
 
 
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, format):
+    points = [GeoPoint(33.77, -84.39), GeoPoint(33.78, -84.38), GeoPoint(33.775, -84.385)]
+    batches = [batch(i * 600, [obs(sid, p) for sid, p in zip(("s0", "s1", "s2"), points)]) for i in range(4)]
+    path = tmp_path / f"feed.{format}"
+    write_snapshot_stream(batches, path, format=format)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"s1", b"s\xff1")  # line 3: the third batch, or the first batch's s1
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedRecord) as err:
+        list(parse_snapshot_stream(path, format=format))
+    assert err.value.line_no == 3 and err.value.reason == "a byte that is not UTF-8"
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_non_ascii_ids_parse(format):
+    b = batch(0, [obs("é1", GeoPoint(33.77, -84.39)), obs("日2", GeoPoint(33.78, -84.38))])
+    buf = io.StringIO()
+    write_snapshot_stream([b], buf, format=format)
+    (back,) = parse_snapshot_stream(io.StringIO(buf.getvalue()), format=format)
+    assert back.observations == b.observations
+
+
 def test_csv_round_trip_lossless(tmp_path):
     batches = [
         batch(0, [obs("a", GeoPoint(33.771234, -84.391111)), obs("b", GeoPoint(33.78, -84.38))]),

@@ -34,7 +34,7 @@ from scootertrips.poi import (
     save_catalog,
     select_low_density_cells,
 )
-from scootertrips.poi.catalog import BufferRing, BufferSpec
+from scootertrips.poi.catalog import BufferRing, BufferSpec, ManualEntry
 from scootertrips.poi.client import MAX_SUBDIVISION_DEPTH, RETRIES, QueryPlanEntry, query_places
 
 from conftest import CITY
@@ -302,9 +302,9 @@ class TestAssignPrimary:
 
 class TestManual:
     def test_thirteen_plus_three(self):
-        entries = [{"name": f"Office {i}", "lat": 33.75 + i * 1e-3, "lon": -84.39, "primary_type": "corporate_office"} for i in range(13)]
+        entries = [ManualEntry(f"Office {i}", 33.75 + i * 1e-3, -84.39, "corporate_office") for i in range(13)]
         entries += [
-            {"name": n, "lat": 33.78 + i * 1e-3, "lon": -84.38, "primary_type": "neighborhood"}
+            ManualEntry(n, 33.78 + i * 1e-3, -84.38, "neighborhood")
             for i, n in enumerate(["Midtown", "Old Fourth Ward", "Virginia Highlands"])
         ]
         catalog = add_manual_pois([], entries)
@@ -312,13 +312,13 @@ class TestManual:
         assert all(p.source == "manual" for p in catalog)
 
     def test_empty_is_noop(self):
-        base = add_manual_pois([], [{"name": "X", "lat": 33.75, "lon": -84.39, "primary_type": "corporate_office"}])
+        base = add_manual_pois([], [ManualEntry("X", 33.75, -84.39, "corporate_office")])
         assert add_manual_pois(base, []) == base
 
     def test_duplicate_position_allowed_here(self):
         entries = [
-            {"name": "A", "lat": 33.75, "lon": -84.39, "primary_type": "corporate_office"},
-            {"name": "B", "lat": 33.75, "lon": -84.39, "primary_type": "bank"},
+            ManualEntry("A", 33.75, -84.39, "corporate_office"),
+            ManualEntry("B", 33.75, -84.39, "bank"),
         ]
         assert len(add_manual_pois([], entries)) == 2
 
@@ -495,7 +495,7 @@ class TestNormalizeAndPersistence:
             RawPoi("r2", "Pub", offset_azimuthal(CITY, 10, 300), ("bar",), "3 St", "bar", "nearby"),
             RawPoi("aq", "Georgia Aquarium", offset_azimuthal(CITY, 200, 700), ("aquarium",), "4 St", "aquarium", "nearby"),
         ]
-        manual = [{"name": "Midtown", "lat": 33.7838, "lon": -84.383, "primary_type": "neighborhood"}]
+        manual = [ManualEntry("Midtown", 33.7838, -84.383, "neighborhood")]
         specs = [
             BufferSpec(selector={"name_contains": "Aquarium"}, rings=(BufferRing(8, 90.0),)),
             BufferSpec(

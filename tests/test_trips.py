@@ -184,7 +184,7 @@ class TestCleaning:
         with pytest.raises(InvalidConfig):
             CleaningRules(min_displacement_m=100.0, max_displacement_m=50.0)
         with pytest.raises(InvalidConfig):
-            CleaningRules.from_dict({"day_start": "22:00", "day_end": "07:00"})
+            CleaningRules(day_start=time(22, 0), day_end=time(7, 0))
 
 
 class TestCrop:
@@ -273,6 +273,19 @@ def test_table_csv_bad_input_names_line_and_column(tmp_path, schema, line, edit,
     assert err.value.line_no == line
     for word in words:
         assert word in err.value.reason
+
+
+@pytest.mark.parametrize("old, new, line, reason", [
+    (b"S2,", b"S\xff2,", 4, "bad scooter_id 'S\\udcff2'"),
+    (b"S1,", b'"S1,', None, "field larger than field limit"),
+], ids=["byte-not-utf8", "open-quote"])
+def test_table_csv_bad_bytes_are_malformed(tmp_path, old, new, line, reason):
+    path = tmp_path / "trips.csv"
+    write_trips_csv(table_of(make_trip(f"S{i}") for i in range(3000)), path)  # over the 128 KiB csv field limit
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(MalformedRecord) as err:
+        read_trips_csv(path)
+    assert line in (None, err.value.line_no) and reason in err.value.reason
 
 
 def test_empty_table_csv_needs_its_header(tmp_path):
