@@ -56,7 +56,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("score", help="score extracted trips against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--extracted", required=True, help="trips CSV")
-    p.add_argument("--cadence", type=int, help="snapshot cadence seconds (defaults from the truth file)")
     p.add_argument("--out", help="score report JSON (stdout by default)")
 
     return parser
@@ -79,8 +78,6 @@ def _cmd_score(args) -> int:
     from .trips import read_trips_csv
 
     truth, cadence, tz = load_truth(args.truth)
-    if args.cadence:
-        cadence = args.cadence
     extracted = read_trips_csv(args.extracted)
     report = score(truth, extracted, cadence, timezone_name=tz)
     write_json(report.to_dict(), args.out)

@@ -8,22 +8,24 @@ Feed formats:
 Records whose id is null (the feed's marker for a scooter in use) are counted
 and dropped; duplicate ids within a batch keep the first occurrence.
 
-A batch is columnar: scooter ids plus float64 lat/lon arrays. Each batch is
-checked as a whole; when a whole-batch check fails, the batch is walked
-record by record with the scalar checks, which report the first bad record
-(its line number and message) exactly as a per-record parser would.
+A batch is columnar: scooter ids plus float64 lat/lon arrays. Both formats
+hand their fields to one check: ids that are not str or None become str,
+coordinates become float64 columns by float(), and a batch whose points all
+lie on the globe and whose newly sighted ids are all ASCII is accepted whole.
+Any other batch is walked record by record by an error-only check, which
+raises at the first bad record (its line number and message) exactly as a
+per-record parser would.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import filterfalse
+from itertools import filterfalse, repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -40,6 +42,7 @@ FORMATS = ("jsonl", "csv")
 _JSON_STR = json.encoder.encode_basestring_ascii  # what json.dumps uses for str
 _JSONL_NULL_RECORD = '{"id":null,"lat":0.0,"lon":0.0}'
 _RECORD_FIELDS = itemgetter("id", "lat", "lon")
+_STR_OR_NONE = frozenset((str, type(None)))
 
 
 class ScooterObservation(NamedTuple):
@@ -146,15 +149,24 @@ def format_ts(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _check_coord(lat, lon, line_no: int) -> GeoPoint:
+def _check_coord(lat, lon, line_no: int) -> None:
     try:
         lat = float(lat)
         lon = float(lon)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(line_no, f"non-numeric coordinates ({lat!r}, {lon!r})") from None
     if not is_valid_point(lat, lon):
         raise MalformedRecord(line_no, f"coordinates out of range ({lat}, {lon})")
-    return GeoPoint(lat, lon)
+
+
+def _check_records(records: Iterable[tuple], line_nos: Iterable[int]) -> None:
+    """Raise MalformedRecord at the first bad (id, lat, lon) record in file
+    order: an id holding a byte that is not UTF-8, or coordinates that float()
+    does not read or that are not a point on the globe."""
+    for (raw_id, lat, lon), line_no in zip(records, line_nos):
+        if type(raw_id) is str:
+            check_utf8(raw_id, line_no)
+        _check_coord(lat, lon, line_no)
 
 
 def _in_range(lat: np.ndarray, lon: np.ndarray) -> bool:
@@ -162,51 +174,45 @@ def _in_range(lat: np.ndarray, lon: np.ndarray) -> bool:
     return bool(((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)).all())
 
 
-def _scalar_coords(points: Iterable[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
-    pts = list(points)
-    return np.array([p.lat for p in pts], dtype=np.float64), np.array([p.lon for p in pts], dtype=np.float64)
-
-
 class _BatchBuilder:
-    """Drops null and duplicate ids from one stream's batches and counts them."""
+    """Checks one stream's batches, drops null and duplicate ids and counts them."""
 
     def __init__(self, stats: IngestStats):
         self.stats = stats
-        self._known: set = set()  # raw ids seen so far, all str or None
+        self._known: set = set()  # ids of accepted batches, all str or None
         self._null: set = set()  # those of them that mark a scooter in use
         self._warned = False
 
-    def _classify(self, raw_ids: list) -> tuple[set, set] | None:
-        """(distinct raw ids, null markers among them); None when an id is
-        not a str or None, so the batch needs per-record str() conversion."""
+    def build(self, ts: datetime, raw_ids: list, lats: Sequence, lons: Sequence, line_nos: Iterable[int]) -> SnapshotBatch:
+        """The batch of one update's records; raises MalformedRecord at its first bad record."""
         try:
             present = set(raw_ids)
+            new = present - self._known
+            str_ids = _STR_OR_NONE.issuperset(map(type, new))
         except TypeError:  # an unhashable id
-            return None
-        for raw in present - self._known:
-            if raw is not None and type(raw) is not str:
-                return None
-            self._known.add(raw)
-            if _is_null_id(raw):
-                self._null.add(raw)
-        return present, present & self._null
-
-    def build(self, ts: datetime, raw_ids: list, lat: np.ndarray, lon: np.ndarray) -> SnapshotBatch:
-        found = self._classify(raw_ids)
-        if found is None:
-            keep = np.array([not _is_null_id(raw) for raw in raw_ids], dtype=bool)
-            ids = [str(raw) for raw, k in zip(raw_ids, keep.tolist()) if k]
-            distinct = len(set(ids))
+            str_ids = False
+        if not str_ids:  # an id that is not a str or None is the str() of it
+            raw_ids = [raw if raw is None else str(raw) for raw in raw_ids]
+            present = set(raw_ids)
+            new = present - self._known
+        try:
+            lat = np.fromiter(map(float, lats), np.float64, len(raw_ids))
+            lon = np.fromiter(map(float, lons), np.float64, len(raw_ids))
+            valid = _in_range(lat, lon)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid or not all(raw is None or raw.isascii() for raw in new):
+            _check_records(zip(raw_ids, lats, lons), line_nos)  # raises whenever valid is False
+        self._known |= new
+        self._null.update(filter(_is_null_id, new))
+        nulls = present & self._null
+        if nulls:
+            keep = ~np.fromiter(map(nulls.__contains__, raw_ids), dtype=bool, count=len(raw_ids))
+            ids = list(filterfalse(nulls.__contains__, raw_ids))
         else:
-            present, nulls = found
-            if nulls:
-                keep = ~np.fromiter(map(nulls.__contains__, raw_ids), dtype=bool, count=len(raw_ids))
-                ids = list(filterfalse(nulls.__contains__, raw_ids))
-            else:
-                keep, ids = None, raw_ids
-            distinct = len(present) - len(nulls)
+            keep, ids = None, raw_ids
         self.stats.dropped_null_id += len(raw_ids) - len(ids)
-        if distinct < len(ids):
+        if len(present) - len(nulls) < len(ids):
             positions = range(len(ids)) if keep is None else np.flatnonzero(keep).tolist()
             keep, ids = self._drop_duplicates(ts, positions, ids)
         if keep is not None:
@@ -247,29 +253,18 @@ def _check_monotonic(prev: datetime | None, ts: datetime) -> None:
         raise NonMonotonicTimestamp(format_ts(prev), format_ts(ts))
 
 
-def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """(raw ids, lat, lon) of one JSONL batch.
-
-    The whole-batch path takes coordinates only when numpy reads them as a
-    1-D float64 array of the right length that lies on the globe; anything
-    else is decided record by record by _check_coord.
-    """
+def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, tuple, tuple]:
+    """(raw ids, lats, lons) of one JSONL batch; a field a record leaves out reads as None."""
     try:
-        raw_ids, lat, lon = zip(*map(_RECORD_FIELDS, scooters)) if scooters else ((), (), ())
-        lat = np.array(lat)
-        lon = np.array(lon)
-    except (KeyError, TypeError, ValueError):  # a missing key, a non-object record, a ragged coordinate
-        pass
-    else:
-        if lat.dtype == np.float64 and lon.dtype == np.float64 and lat.shape == lon.shape == (len(scooters),):
-            if _in_range(lat, lon):
-                return list(raw_ids), lat, lon
-    points = []
-    for rec in scooters:
-        if not isinstance(rec, dict):
-            raise MalformedRecord(line_no, "scooter record must be an object")
-        points.append(_check_coord(rec.get("lat"), rec.get("lon"), line_no))
-    return [rec.get("id") for rec in scooters], *_scalar_coords(points)
+        fields = list(map(_RECORD_FIELDS, scooters))
+    except (KeyError, TypeError):  # a record without a field, or one that is not an object
+        objects = list(takewhile(lambda rec: isinstance(rec, dict), scooters))
+        fields = [(rec.get("id"), rec.get("lat"), rec.get("lon")) for rec in objects]
+        if len(objects) < len(scooters):
+            _check_records(fields, repeat(line_no))  # a bad record before it is reported first
+            raise MalformedRecord(line_no, "scooter record must be an object") from None
+    raw_ids, lats, lons = zip(*fields) if fields else ((), (), ())
+    return list(raw_ids), lats, lons
 
 
 def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
@@ -281,8 +276,8 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
             continue
         try:
             obj = json.loads(check_utf8(line, line_no))
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits to convert
+            raise MalformedRecord(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict) or "ts" not in obj or "scooters" not in obj:
             raise MalformedRecord(line_no, "expected object with 'ts' and 'scooters'")
         ts = parse_ts(obj["ts"], line_no)
@@ -291,28 +286,13 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         scooters = obj["scooters"]
         if not isinstance(scooters, list):
             raise MalformedRecord(line_no, "'scooters' must be a list")
-        yield builder.build(ts, *_jsonl_columns(scooters, line_no))
+        yield builder.build(ts, *_jsonl_columns(scooters, line_no), repeat(line_no))
 
 
-def _csv_columns(rows: list[list[str]], line_nos: list[int]) -> tuple[list, np.ndarray, np.ndarray]:
-    """(raw ids, lat, lon) of one CSV batch; float() parses each coordinate,
-    as _check_coord does, and _check_coord reports the first bad row."""
-    if not rows:
-        return [], np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
-    _, raw_ids, lat_s, lon_s = zip(*rows)
-    try:
-        lat = np.array(list(map(float, lat_s)), dtype=np.float64)
-        lon = np.array(list(map(float, lon_s)), dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if _in_range(lat, lon) and "".join(raw_ids).isascii():
-            return list(raw_ids), lat, lon
-    points = []
-    for (_, raw_id, lat, lon), ln in zip(rows, line_nos):
-        check_utf8(raw_id, ln)
-        points.append(_check_coord(lat, lon, ln))
-    return list(raw_ids), *_scalar_coords(points)
+def _csv_columns(rows: list[list[str]]) -> tuple[list[str], tuple, tuple]:
+    """(raw ids, lats, lons) of one CSV batch's ts,id,lat,lon rows."""
+    _, raw_ids, lats, lons = zip(*rows) if rows else ((), (), (), ())
+    return list(raw_ids), lats, lons
 
 
 def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
@@ -332,12 +312,12 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
             if line_no == 1 and row[0].strip().lower() == "ts":
                 continue  # header
             if len(row) != 4:
-                _csv_columns(rows, line_nos)  # a bad row earlier in the batch is reported first
+                _check_records((r[1:] for r in rows), line_nos)  # a bad row before it is reported first
                 raise MalformedRecord(line_no, f"expected 4 columns, got {len(row)}")
             raw_ts = row[0]
             if raw_ts != current_raw_ts:
                 if current_ts is not None:
-                    yield builder.build(current_ts, *_csv_columns(rows, line_nos))
+                    yield builder.build(current_ts, *_csv_columns(rows), line_nos)
                 ts = parse_ts(raw_ts, line_no)
                 _check_monotonic(prev, ts)
                 prev = ts
@@ -348,10 +328,10 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
             rows.append(row)
             line_nos.append(line_no)
     except csv.Error as exc:  # the reader failed on a row; a bad row before it is reported first
-        _csv_columns(rows, line_nos)
+        _check_records((r[1:] for r in rows), line_nos)
         raise MalformedRecord(reader.line_num, str(exc)) from None
     if current_ts is not None:
-        yield builder.build(current_ts, *_csv_columns(rows, line_nos))
+        yield builder.build(current_ts, *_csv_columns(rows), line_nos)
 
 
 def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
@@ -366,14 +346,8 @@ def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
     stats = IngestStats()
 
     def gen() -> Iterator[SnapshotBatch]:
-        close = False
-        if isinstance(source, (str, Path)):
-            fh = open(source, "r", encoding="utf-8", errors="surrogateescape")
-            close = True
-        elif isinstance(source, io.TextIOBase):
-            fh = source
-        else:
-            fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")  # raw byte stream
+        close = isinstance(source, (str, Path))
+        fh = open(source, "r", encoding="utf-8", errors="surrogateescape") if close else source
         try:
             inner = _parse_jsonl(fh, stats) if format == "jsonl" else _parse_csv(fh, stats)
             yield from inner

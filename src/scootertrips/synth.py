@@ -21,17 +21,12 @@ from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
 from .ingest import SnapshotBatch, write_snapshot_stream
 from .jsonio import decode, encode, held_as, read_json, write_json
+from .purpose import TimeSlot
 from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, TripTable
 
 log = logging.getLogger(__name__)
 
-SLOT_WINDOWS = {
-    "morning": (7 * 3600, 11 * 3600),
-    "lunch": (11 * 3600, 14 * 3600),
-    "afternoon": (14 * 3600, 17 * 3600),
-    "evening": (17 * 3600, 19 * 3600),
-    "night": (19 * 3600, 21 * 3600),
-}
+SLOT_WINDOWS = {s.label: (s.start_minute * 60, s.end_minute * 60) for s in TimeSlot}  # seconds of the local day
 DEFAULT_TRIP_RATES = {"morning": 0.4, "lunch": 0.5, "afternoon": 0.7, "evening": 0.6, "night": 0.5}
 _SCENARIO_PARSE = {"start_date": date.fromisoformat}
 

@@ -61,6 +61,19 @@ def test_missing_file_is_data_error(tmp_path):
     assert stage("extract", config, tmp_path / "out") == EXIT_DATA
 
 
+def test_lone_surrogate_id_is_a_malformed_record(tmp_path, capsys, caplog):
+    # the escape is valid UTF-8 text, but the id it decodes to cannot be written to trips.csv
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(
+        '{"ts": "2019-02-04T17:%02d:00Z", "scooters": [{"id": "a\\udcff", "lat": %s, "lon": -84.39}]}\n' % (m, lat)
+        for m, lat in ((0, 33.77), (10, 33.78))))
+    config = write_config(tmp_path, paths={"feed": str(feed)})
+    assert stage("extract", config, tmp_path / "out", "--raw-out", str(tmp_path / "raw.csv")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "malformed record at line 1" in err
+    assert "unexpected error" not in err and "Traceback" not in caplog.text
+
+
 def test_simulate_extract_score_round_trip(tmp_path, capsys):
     config = write_config(tmp_path, paths={"scenario": str(write_scenario(tmp_path))})
     out = tmp_path / "out"

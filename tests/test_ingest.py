@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import logging
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scootertrips.errors import InvalidBbox, MalformedRecord, NonMonotonicTimestamp
 from scootertrips.geo import Bbox, GeoPoint
 from scootertrips.ingest import (
+    IngestStats,
     SnapshotBatch,
+    format_ts,
     parse_snapshot_stream,
     write_snapshot_stream,
 )
@@ -189,13 +192,6 @@ def test_round_trip_lossless_for_retained_records(data):
         assert back.observations == orig.observations
 
 
-def test_parses_binary_byte_stream():
-    line = json.dumps({"ts": "2019-02-02T12:00:00Z", "scooters": [{"id": "a", "lat": 33.77, "lon": -84.39}]})
-    stream = parse_snapshot_stream(io.BytesIO(line.encode("utf-8")))
-    batches = list(stream)
-    assert len(batches) == 1 and stream.stats.retained == 1
-
-
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
 def test_byte_that_is_not_utf8_names_its_line(tmp_path, format):
     points = [GeoPoint(33.77, -84.39), GeoPoint(33.78, -84.38), GeoPoint(33.775, -84.385)]
@@ -363,6 +359,13 @@ def test_malformed_feed_reports_first_bad_record(format, text, expected):
         assert (err.value.line_no, err.value.reason) == (line_no, reason)
 
 
+def test_integer_too_long_to_convert_is_invalid_json():
+    text = '{"ts":"%s","scooters":[{"id":"a","lat":%s,"lon":-84.3}]}\n' % (T1, "1" * 5000)
+    with pytest.raises(MalformedRecord) as err:
+        parse_all(text)
+    assert err.value.line_no == 1 and err.value.reason.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_records_the_batch_check_declines_still_parse():
     # strings and ints are not float64 columns, but float() accepts them;
     # a record without an id is an in-use scooter
@@ -425,3 +428,104 @@ def test_jsonl_and_csv_feeds_agree(data, pad):
     assert rows(extract_trips(from_jsonl)) == rows(extract_trips(from_csv))
     assert from_jsonl.stats == from_csv.stats
     assert from_jsonl.stats.input_records == sum(max(len(rows), pad) for rows in data)
+
+
+# Records as JSON gives them: canonical ones, and ones float() or str() accepts
+# (int and numeric-string coordinates, an int id, no id, the "null" marker).
+_IDS = ["a", "b", "c", 7, "7", "null", None, "missing"]
+_LATS = [33.77, 33.7712, 33, "33.775"]
+_LONS = [-84.39, -84.3901, -84, "-84.385"]
+_BAD = {
+    "non-numeric": {"id": "a", "lat": "north", "lon": -84.39},
+    "nan": {"id": "a", "lat": float("nan"), "lon": -84.39},
+    "off-globe": {"id": "a", "lat": 33.77, "lon": 181.5},
+    "huge-int": {"id": "a", "lat": 10**400, "lon": -84.39},  # float() overflows on it; in CSV text it reads inf
+    "not-object": 5,
+    "lone-surrogate-id": {"id": "a\udcff", "lat": 33.77, "lon": -84.39},
+}
+_NOT_OBJECT = {"jsonl": "scooter record must be an object", "csv": "expected 4 columns, got 3"}
+
+
+def _record(sid, lat, lon):
+    return {"lat": lat, "lon": lon} if sid == "missing" else {"id": sid, "lat": lat, "lon": lon}
+
+
+def _ts(i: int) -> str:
+    return f"2019-02-04T17:{i * 10:02d}:00Z"
+
+
+def _feed_text(feed, format: str) -> str:
+    """The feed as JSONL (json.dumps escapes a lone surrogate) or as CSV, where
+    a record that is not an object becomes a row of three columns."""
+    if format == "jsonl":
+        return _jsonl(*((_ts(i), recs) for i, recs in enumerate(feed)))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["ts", "id", "lat", "lon"])
+    for i, recs in enumerate(feed):
+        for rec in recs:
+            row = [_ts(i), *_csv_fields(rec)] if isinstance(rec, dict) else [_ts(i), "a", "33.77"]
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+def _csv_fields(rec: dict) -> tuple:
+    sid = rec.get("id")
+    return "" if sid is None else str(sid), str(rec["lat"]), str(rec["lon"])
+
+
+def _reference_parse(feed, format: str):
+    """Per-record parse: ([(ts, ids, lats, lons), ...], IngestStats), or the
+    (line_no, reason) of the first bad record."""
+    batches, stats, line_no = [], IngestStats(), 1 if format == "csv" else 0
+    for i, recs in enumerate(feed):
+        line_no += format == "jsonl"
+        kept = {}
+        for rec in recs:
+            line_no += format == "csv"
+            if not isinstance(rec, dict):
+                return line_no, _NOT_OBJECT[format]
+            sid, lat, lon = (rec.get("id"), rec["lat"], rec["lon"]) if format == "jsonl" else _csv_fields(rec)
+            if isinstance(sid, str) and any("\ud800" <= ch <= "\udfff" for ch in sid):
+                return line_no, "a byte that is not UTF-8"
+            try:
+                point = float(lat), float(lon)
+            except (ValueError, OverflowError):
+                return line_no, f"non-numeric coordinates ({lat!r}, {lon!r})"
+            if not (-90 <= point[0] <= 90 and -180 <= point[1] <= 180):
+                return line_no, f"coordinates out of range ({point[0]}, {point[1]})"
+            sid = None if sid is None else str(sid)
+            if sid is None or sid.strip().lower() in ("", "null"):
+                stats.dropped_null_id += 1
+            elif sid in kept:
+                stats.dropped_duplicate_id += 1
+            else:
+                kept[sid] = point
+        batches.append((_ts(i), list(kept), [p[0] for p in kept.values()], [p[1] for p in kept.values()]))
+        stats.batches += 1
+        stats.retained += len(kept)
+    return batches, stats
+
+
+@st.composite
+def _feeds(draw):
+    records = st.builds(_record, st.sampled_from(_IDS), st.sampled_from(_LATS), st.sampled_from(_LONS))
+    feed = draw(st.lists(st.lists(records, min_size=1, max_size=5), min_size=1, max_size=4))
+    bad = draw(st.sampled_from([None, *_BAD]))
+    if bad is not None:
+        recs = feed[draw(st.integers(0, len(feed) - 1))]
+        recs.insert(draw(st.integers(0, len(recs))), _BAD[bad])
+    return feed
+
+
+@given(feed=_feeds(), format=st.sampled_from(["jsonl", "csv"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_batch_check_matches_a_per_record_parse(feed, format):
+    want = _reference_parse(feed, format)
+    try:
+        batches, stats = parse_all(_feed_text(feed, format), format)
+    except MalformedRecord as err:
+        got = err.line_no, err.reason
+    else:
+        got = [(format_ts(b.ts), b.ids, b.lat.tolist(), b.lon.tolist()) for b in batches], stats
+    assert got == want

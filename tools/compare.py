@@ -3,11 +3,11 @@
 of the working tree.
 
 The base tree is extracted with `git archive` into .bench_work/compare/base.
-Each benchmark workload's inputs are written once, at seed 1, by the base
-tree's perfbench/workloads.py; both trees then run the same config. The demo
-case runs each tree's own demo/config.json. Per case, the two manifests are
-compared apart from created_at, and every artifact that differs gets its
-first differing line printed.
+Each workload named in the base tree's BENCHMARK.json has its inputs written
+once, at seed 1, by the base tree's perfbench/workloads.py; both trees then
+run the same config. The demo case runs each tree's own demo/config.json.
+Per case, the two manifests are compared apart from created_at, and every
+artifact that differs gets its first differing line printed.
 
 Usage: python3 tools/compare.py --base <rev> [--expect-change NAME ...] [--time N]
 
@@ -40,7 +40,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "compare"
-WORKLOADS = ("fleet-14d", "poi-dense", "feed-faults")
 
 
 def extract_tree(rev: str, dest: Path) -> None:
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
     extract_tree(args.base, base)
 
     cases = {"demo": (base / "demo" / "config.json", ROOT / "demo" / "config.json")}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in json.loads((base / "BENCHMARK.json").read_text())["workloads"]):
         inputs = WORK / "inputs" / workload
         subprocess.run([sys.executable, str(base / "perfbench" / "workloads.py"), "--workload", workload,
                         "--seed", "1", "--out", str(inputs)], check=True, stdout=subprocess.DEVNULL)
