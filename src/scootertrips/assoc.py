@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DanglingPoiReference, EmptyCatalog
 from .geo import SpatialIndex, build_spatial_index, nearest_k_batch
-from .poi import Poi
+from .poi.catalog import Poi
 from .trips import ASSOC_CSV, TripTable, read_table_csv, write_table_csv
 
 log = logging.getLogger(__name__)

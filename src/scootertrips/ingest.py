@@ -43,6 +43,9 @@ _JSON_STR = json.encoder.encode_basestring_ascii  # what json.dumps uses for str
 _JSONL_NULL_RECORD = '{"id":null,"lat":0.0,"lon":0.0}'
 _RECORD_FIELDS = itemgetter("id", "lat", "lon")
 _STR_OR_NONE = frozenset((str, type(None)))
+_NOT_UTF8 = "a byte that is not UTF-8"
+# a JSONL line passed check_utf8 before json.loads, so a surrogate in its ids is an escape
+_SURROGATE_ESCAPE = "an id holding a lone surrogate escape"
 
 
 class ScooterObservation(NamedTuple):
@@ -125,13 +128,14 @@ def _is_null_id(raw) -> bool:
     return raw is None or str(raw).strip().lower() in ("", "null")
 
 
-def check_utf8(text: str, line_no: int = 0) -> str:
-    """text, unless it holds a byte that is not UTF-8 (read with errors="surrogateescape")."""
+def check_utf8(text: str, line_no: int = 0, reason: str = _NOT_UTF8) -> str:
+    """text, unless it holds a surrogate, which raises MalformedRecord with reason.
+    In text read with errors="surrogateescape" a surrogate is a byte that is not UTF-8."""
     if not text.isascii():
         try:
             text.encode("utf-8")
         except UnicodeEncodeError:
-            raise MalformedRecord(line_no, "a byte that is not UTF-8") from None
+            raise MalformedRecord(line_no, reason) from None
     return text
 
 
@@ -159,13 +163,13 @@ def _check_coord(lat, lon, line_no: int) -> None:
         raise MalformedRecord(line_no, f"coordinates out of range ({lat}, {lon})")
 
 
-def _check_records(records: Iterable[tuple], line_nos: Iterable[int]) -> None:
+def _check_records(records: Iterable[tuple], line_nos: Iterable[int], bad_id: str = _NOT_UTF8) -> None:
     """Raise MalformedRecord at the first bad (id, lat, lon) record in file
-    order: an id holding a byte that is not UTF-8, or coordinates that float()
-    does not read or that are not a point on the globe."""
+    order: an id holding a surrogate (reason bad_id), or coordinates that
+    float() does not read or that are not a point on the globe."""
     for (raw_id, lat, lon), line_no in zip(records, line_nos):
         if type(raw_id) is str:
-            check_utf8(raw_id, line_no)
+            check_utf8(raw_id, line_no, bad_id)
         _check_coord(lat, lon, line_no)
 
 
@@ -177,8 +181,9 @@ def _in_range(lat: np.ndarray, lon: np.ndarray) -> bool:
 class _BatchBuilder:
     """Checks one stream's batches, drops null and duplicate ids and counts them."""
 
-    def __init__(self, stats: IngestStats):
+    def __init__(self, stats: IngestStats, bad_id: str):
         self.stats = stats
+        self.bad_id = bad_id  # the reason for an id holding a surrogate
         self._known: set = set()  # ids of accepted batches, all str or None
         self._null: set = set()  # those of them that mark a scooter in use
         self._warned = False
@@ -202,7 +207,7 @@ class _BatchBuilder:
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid or not all(raw is None or raw.isascii() for raw in new):
-            _check_records(zip(raw_ids, lats, lons), line_nos)  # raises whenever valid is False
+            _check_records(zip(raw_ids, lats, lons), line_nos, self.bad_id)  # raises whenever valid is False
         self._known |= new
         self._null.update(filter(_is_null_id, new))
         nulls = present & self._null
@@ -261,14 +266,14 @@ def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, tuple, tuple]:
         objects = list(takewhile(lambda rec: isinstance(rec, dict), scooters))
         fields = [(rec.get("id"), rec.get("lat"), rec.get("lon")) for rec in objects]
         if len(objects) < len(scooters):
-            _check_records(fields, repeat(line_no))  # a bad record before it is reported first
+            _check_records(fields, repeat(line_no), _SURROGATE_ESCAPE)  # a bad record before it is reported first
             raise MalformedRecord(line_no, "scooter record must be an object") from None
     raw_ids, lats, lons = zip(*fields) if fields else ((), (), ())
     return list(raw_ids), lats, lons
 
 
 def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
-    builder = _BatchBuilder(stats)
+    builder = _BatchBuilder(stats, _SURROGATE_ESCAPE)
     prev: datetime | None = None
     for line_no, line in enumerate(fh, 1):
         line = line.strip()
@@ -296,7 +301,7 @@ def _csv_columns(rows: list[list[str]]) -> tuple[list[str], tuple, tuple]:
 
 
 def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
-    builder = _BatchBuilder(stats)
+    builder = _BatchBuilder(stats, _NOT_UTF8)
     reader = csv.reader(fh)
     prev: datetime | None = None
     current_ts: datetime | None = None

@@ -36,23 +36,26 @@ from .errors import BudgetExhausted, ClientError, InvalidConfig, PipelineError
 from .geo import make_grid
 from .ingest import parse_snapshot_stream
 from .jsonio import write_json
-from .poi import (
-    FixturePlacesClient,
-    QueryBudget,
+from .poi.catalog import (
     default_plan_path,
-    harvest,
     load_buffer_specs,
     load_catalog,
     load_manual_entries,
-    load_plan,
     load_raw_pois,
     load_taxonomy,
     normalize_catalog,
     save_catalog,
     save_raw_pois,
+)
+from .poi.client import (
+    DENSIFY_TEXT_QUERIES,
+    FixturePlacesClient,
+    QueryBudget,
+    QueryPlanEntry,
+    harvest,
+    load_plan,
     select_low_density_cells,
 )
-from .poi.client import DENSIFY_TEXT_QUERIES, QueryPlanEntry
 from .purpose import (
     TimeSlot,
     build_matrix,

@@ -1,37 +1,4 @@
-"""POI acquisition, normalization, buffering, deduplication, and grouping."""
+"""POI acquisition (poi.client) and the catalog built from it (poi.catalog)."""
 
-from .catalog import (  # noqa: F401
-    GroupTaxonomy,
-    MergeReport,
-    MULTIPLE_TYPE,
-    NormalizeReport,
-    Poi,
-    RawPoi,
-    add_manual_pois,
-    assign_groups,
-    assign_primary,
-    collapse_harvest_duplicates,
-    dedupe_and_merge,
-    default_plan_path,
-    exclude_primary_types,
-    generate_buffers,
-    load_buffer_specs,
-    load_catalog,
-    load_manual_entries,
-    load_taxonomy,
-    location_key,
-    normalize_catalog,
-    save_catalog,
-    save_raw_pois,
-    load_raw_pois,
-)
-from .client import (  # noqa: F401
-    DENSIFY_TEXT_QUERIES,
-    FixturePlacesClient,
-    QueryBudget,
-    QueryPlanEntry,
-    canonical_query,
-    harvest,
-    load_plan,
-    select_low_density_cells,
-)
+from .catalog import default_plan_path  # noqa: F401
+from .client import load_plan  # noqa: F401

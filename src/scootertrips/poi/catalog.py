@@ -16,7 +16,7 @@ from ..jsonio import decode, encode, held_as, read_json, write_json
 log = logging.getLogger(__name__)
 
 MULTIPLE_TYPE = "multiple"
-DEFAULT_EXCLUDED_TYPES = ("bus_station",)  # association volume would swamp everything else
+EXCLUDED_TYPES = ("bus_station",)  # association volume would swamp everything else
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,8 @@ def assign_primary(raw: RawPoi) -> Poi:
     )
 
 
-def exclude_primary_types(
-    catalog: Sequence[Poi], excluded: Sequence[str] = DEFAULT_EXCLUDED_TYPES
-) -> tuple[list[Poi], int]:
-    excluded_set = set(excluded)
-    kept = [p for p in catalog if p.primary_type not in excluded_set]
+def exclude_primary_types(catalog: Sequence[Poi]) -> tuple[list[Poi], int]:
+    kept = [p for p in catalog if p.primary_type not in EXCLUDED_TYPES]
     return kept, len(catalog) - len(kept)
 
 
@@ -179,20 +176,7 @@ def load_manual_entries(path=None) -> list[ManualEntry]:
 
 @dataclass(frozen=True)
 class BufferRing:
-    count: int
-    radius_m: float
-    start_bearing_deg: float = 0.0
-
-
-@dataclass(frozen=True)
-class BufferSpec:
-    selector: dict
-    rings: tuple[BufferRing, ...]
-
-
-@dataclass(frozen=True)
-class _RingEntry:
-    """A ring of the buffers file: count points radius_m from each target."""
+    """count points radius_m from each target, the first due north."""
 
     count: int
     radius_m: float
@@ -203,23 +187,18 @@ class _RingEntry:
 
 
 @dataclass(frozen=True)
-class _SpecEntry(_RingEntry):
-    """A spec of the buffers file: its targets, its ring and a wider ring2."""
+class BufferSpec(BufferRing):
+    """A spec of the buffers file: its targets, its ring and an optional wider
+    ring2, turned by half its own step so its points fall between the ring's."""
 
     selector: dict
-    ring2: _RingEntry | None = None
+    ring2: BufferRing | None = None
 
 
 def load_buffer_specs(path=None) -> list[BufferSpec]:
     path = path or _data_path("buffers.json")
-    specs = []
     entries = read_json(path, "buffer specs", "specs")
-    for spec in decode(list[_SpecEntry], entries, f"buffer specs {path}", path="specs"):
-        rings = (BufferRing(spec.count, spec.radius_m),)
-        if r2 := spec.ring2:  # interleaved halfway between the inner bearings
-            rings += (BufferRing(r2.count, r2.radius_m, start_bearing_deg=360.0 / (2 * r2.count)),)
-        specs.append(BufferSpec(selector=spec.selector, rings=rings))
-    return specs
+    return decode(list[BufferSpec], entries, f"buffer specs {path}", path="specs")
 
 
 def _select_targets(catalog: Sequence[Poi], selector: dict) -> list[Poi]:
@@ -237,19 +216,28 @@ def _select_targets(catalog: Sequence[Poi], selector: dict) -> list[Poi]:
 
 def generate_buffers(catalog: Sequence[Poi], specs: Iterable[BufferSpec]) -> list[Poi]:
     """Ring synthetic POIs around selected parents; buffers inherit the parent's
-    primary type and carry parent_id."""
+    primary type and carry parent_id. Each place, by id and location, is ringed
+    once, by the first spec that selects it: a place harvested by a nearby and
+    a text query is in the catalog twice."""
     out = list(catalog)
+    ringed: set[tuple] = set()
     for spec in specs:
         targets = _select_targets(catalog, spec.selector)
         if not targets:
             raise TargetNotFound(f"buffer selector {spec.selector!r} matched no POI")
+        rings = [(spec, 0.0)]  # (ring, bearing of its first point)
+        if spec.ring2:
+            rings.append((spec.ring2, 360.0 / (2 * spec.ring2.count)))
         for parent in targets:
+            key = (parent.id, location_key(parent))
+            if key in ringed:
+                continue
+            ringed.add(key)
             i = 0
-            for ring in spec.rings:
+            for ring, start in rings:
                 step = 360.0 / ring.count
                 for j in range(ring.count):
-                    bearing = (ring.start_bearing_deg + j * step) % 360.0
-                    pos = offset_azimuthal(parent.position, bearing, ring.radius_m)
+                    pos = offset_azimuthal(parent.position, (start + j * step) % 360.0, ring.radius_m)
                     out.append(
                         Poi(
                             id=f"{parent.id}:buf{i:02d}",
@@ -265,7 +253,7 @@ def generate_buffers(catalog: Sequence[Poi], specs: Iterable[BufferSpec]) -> lis
     return out
 
 
-def location_key(p: Poi) -> tuple[float, float]:
+def location_key(p: Poi | RawPoi) -> tuple[float, float]:
     # ~0.11 m resolution: "same exact location" without fragile float equality
     return (round(p.position.lat, 6), round(p.position.lon, 6))
 
@@ -346,7 +334,7 @@ def collapse_harvest_duplicates(raw_pois: Sequence[RawPoi]) -> tuple[list[RawPoi
     seen: set[tuple] = set()
     out: list[RawPoi] = []
     for r in raw_pois:
-        key = (r.place_id, r.query_type, r.source, round(r.position.lat, 6), round(r.position.lon, 6))
+        key = (r.place_id, r.query_type, r.source, location_key(r))
         if key in seen:
             continue
         seen.add(key)
@@ -359,7 +347,6 @@ def normalize_catalog(
     taxonomy: GroupTaxonomy,
     manual_entries: Iterable[ManualEntry] = (),
     buffer_specs: Iterable[BufferSpec] = (),
-    excluded_types: Sequence[str] = DEFAULT_EXCLUDED_TYPES,
 ) -> tuple[list[Poi], NormalizeReport]:
     """Full normalization pass: primary types, exclusions, manual POIs, buffers,
     duplicate resolution, then grouping.
@@ -371,7 +358,7 @@ def normalize_catalog(
     report = NormalizeReport(input_raw=len(raw_pois))
     raw_pois, report.harvest_duplicates_collapsed = collapse_harvest_duplicates(raw_pois)
     catalog = [assign_primary(r) for r in raw_pois]
-    catalog, report.excluded_primary_types = exclude_primary_types(catalog, excluded_types)
+    catalog, report.excluded_primary_types = exclude_primary_types(catalog)
     before = len(catalog)
     catalog = add_manual_pois(catalog, manual_entries)
     report.manual_added = len(catalog) - before

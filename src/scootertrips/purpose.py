@@ -15,7 +15,7 @@ import numpy as np
 
 from .assoc import group_codes, referenced_pois
 from .errors import OutOfOperatingHours
-from .poi import Poi
+from .poi.catalog import Poi
 from .trips import DEFAULT_TIMEZONE, TripTable, local_fields
 
 log = logging.getLogger(__name__)

@@ -108,8 +108,15 @@ def _round_point(lat: float, lon: float) -> GeoPoint:
 
 
 def _local_epoch(tz: ZoneInfo, day: date, seconds_of_day: float) -> float:
-    base = datetime.combine(day, time(0, 0), tzinfo=tz).timestamp()
-    return base + seconds_of_day
+    """The epoch of the wall time seconds_of_day after day's local midnight.
+
+    On a day the UTC offset changes, the offset at the wall time (fold=0)
+    replaces midnight's. Synth draws no time between 01:00 and 03:00, where the
+    skipped and the repeated hour of a change lie.
+    """
+    midnight = datetime.combine(day, time(0, 0), tzinfo=tz)
+    wall = midnight + timedelta(seconds=seconds_of_day)  # aware arithmetic keeps the wall clock
+    return midnight.timestamp() + seconds_of_day + (midnight.utcoffset() - wall.utcoffset()).total_seconds()
 
 
 class _Sampler:
@@ -280,7 +287,6 @@ def score(
     cadence_s: int,
     *,
     timezone_name: str = DEFAULT_TIMEZONE,
-    colocation_eps_m: float = COLOCATION_EPS_M,
 ) -> ScoreReport:
     """Compare extraction output against ground truth.
 
@@ -328,7 +334,7 @@ def score(
                 (prev_end is None or prev_end <= t1)
                 and (next_start is None or next_start >= t2)
                 and datetime.fromtimestamp(t1, tz=tz).toordinal() == datetime.fromtimestamp(t2, tz=tz).toordinal()
-                and haversine_m(t.origin, t.destination) > colocation_eps_m
+                and haversine_m(t.origin, t.destination) > COLOCATION_EPS_M
             )
             if not recoverable:
                 report.n_unrecoverable += 1

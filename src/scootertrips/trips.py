@@ -145,7 +145,6 @@ def extract_trips(
     batches: Iterable[SnapshotBatch],
     *,
     timezone_name: str = DEFAULT_TIMEZONE,
-    colocation_eps_m: float = COLOCATION_EPS_M,
 ) -> TripTable:
     """Reconstruct raw trips from an ordered batch stream.
 
@@ -166,14 +165,14 @@ def extract_trips(
     def local_day(batch: SnapshotBatch) -> int:
         return datetime.fromtimestamp(int(batch.ts.timestamp()), tz).toordinal()
 
-    days = [_day_trips(day, code_of, colocation_eps_m) for _, day in groupby(batches, key=local_day)]
-    days = days or [_day_trips((), code_of, colocation_eps_m)]  # typed empty columns
+    days = [_day_trips(day, code_of) for _, day in groupby(batches, key=local_day)]
+    days = days or [_day_trips((), code_of)]  # typed empty columns
     # column by column, so only one column's day arrays outlive its concatenation
     columns = {name: np.concatenate([d.pop(name) for d in days]) for name in list(days[0])}
     return TripTable(ids=list(code_of), **columns)
 
 
-def _day_trips(batches: Iterable[SnapshotBatch], code_of: dict[str, int], eps_m: float) -> dict[str, np.ndarray]:
+def _day_trips(batches: Iterable[SnapshotBatch], code_of: dict[str, int]) -> dict[str, np.ndarray]:
     """The TripTable columns of one local day's batches, rows ordered by
     (start, scooter id, end); new scooter ids get codes in code_of."""
     batch_ts: list[int] = []
@@ -202,7 +201,7 @@ def _day_trips(batches: Iterable[SnapshotBatch], code_of: dict[str, int], eps_m:
     lon_s = np.frombuffer(lons, dtype=np.float64)[order]
     del order, codes_a, codes, lats, lons  # the scan needs only the sorted copies
 
-    pair_idx, pair_dist = kernels.pair_scan(codes_s, lat_s, lon_s, eps_m)
+    pair_idx, pair_dist = kernels.pair_scan(codes_s, lat_s, lon_s, COLOCATION_EPS_M)
     nxt = pair_idx + 1
     # codes follow first sighting; the row order needs the ids' string order,
     # which a rank over the ids seen so far keeps

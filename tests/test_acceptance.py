@@ -16,8 +16,15 @@ from scootertrips.assoc import apply_threshold, sensitivity
 from scootertrips.cli import EXIT_OK, main
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, nearest_k_batch
 from scootertrips.ingest import parse_snapshot_stream
-from scootertrips.poi import MULTIPLE_TYPE, Poi, dedupe_and_merge, generate_buffers, location_key
-from scootertrips.poi.catalog import BufferRing, BufferSpec
+from scootertrips.poi.catalog import (
+    MULTIPLE_TYPE,
+    BufferRing,
+    BufferSpec,
+    Poi,
+    dedupe_and_merge,
+    generate_buffers,
+    location_key,
+)
 from scootertrips.purpose import TimeSlot, build_matrix, day_class_predicate, drill_down, slot_predicate
 from scootertrips.synth import ScenarioConfig, generate, score, write_feed
 from scootertrips.trips import CleaningRules, clean_trips, extract_trips
@@ -163,12 +170,12 @@ def test_criterion_3_nearest_neighbor_equivalence(capsys):
 def test_criterion_4_buffer_geometry(capsys):
     with criterion(4, "buffer ring counts and radii", capsys):
         specs = [
-            ("aquarium", BufferSpec({"id": "venue"}, (BufferRing(8, 90.0),)), [(8, 90.0)]),
-            ("dome", BufferSpec({"id": "venue"}, (BufferRing(8, 140.0),)), [(8, 140.0)]),
-            ("station", BufferSpec({"id": "venue"}, (BufferRing(8, 20.0),)), [(8, 20.0)]),
+            ("aquarium", BufferSpec(8, 90.0, {"id": "venue"}), [(8, 90.0)]),
+            ("dome", BufferSpec(8, 140.0, {"id": "venue"}), [(8, 140.0)]),
+            ("station", BufferSpec(8, 20.0, {"id": "venue"}), [(8, 20.0)]),
             (
                 "neighborhood",
-                BufferSpec({"id": "venue"}, (BufferRing(8, 140.0), BufferRing(16, 290.0, 11.25))),
+                BufferSpec(8, 140.0, {"id": "venue"}, BufferRing(16, 290.0)),
                 [(8, 140.0), (16, 290.0)],
             ),
         ]

@@ -14,7 +14,7 @@ from scootertrips.assoc import (
 from scootertrips.errors import EmptyCatalog
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, offset_azimuthal
 from scootertrips import trips as trips_module
-from scootertrips.poi import Poi
+from scootertrips.poi.catalog import Poi
 from scootertrips.trips import WRITE_BLOCK
 
 from conftest import CITY, make_trip, rows, table_of

@@ -13,7 +13,8 @@ from scootertrips.config import PipelineConfig, load_config
 from scootertrips.errors import BudgetExhausted, InvalidConfig
 from scootertrips.geo import make_grid
 from scootertrips.pipeline import harvest_pois
-from scootertrips.poi import canonical_query, load_raw_pois
+from scootertrips.poi.catalog import load_raw_pois
+from scootertrips.poi.client import canonical_query
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
@@ -70,7 +71,7 @@ def test_lone_surrogate_id_is_a_malformed_record(tmp_path, capsys, caplog):
     config = write_config(tmp_path, paths={"feed": str(feed)})
     assert stage("extract", config, tmp_path / "out", "--raw-out", str(tmp_path / "raw.csv")) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "malformed record at line 1" in err
+    assert "malformed record at line 1" in err and "an id holding a lone surrogate escape" in err
     assert "unexpected error" not in err and "Traceback" not in caplog.text
 
 

@@ -67,3 +67,12 @@ def test_timing_prints_median_paired_run_time_ratio_and_peak_rss_change(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert "median 0.750 (change faster in 2/3)" in last
     assert "peak_rss_mb paired change: median -2.0% (change smaller in 2/3)" in last
+
+
+def test_expected_change_is_scoped_to_its_case():
+    expect = ["stages.normalize", "poi-dense:catalog.json"]
+    assert compare.is_expected("demo", "stages.normalize", expect)  # a bare name holds in every case
+    assert compare.is_expected("poi-dense", "stages.normalize", expect)
+    assert compare.is_expected("poi-dense", "catalog.json", expect)
+    assert not compare.is_expected("demo", "catalog.json", expect)
+    assert not compare.is_expected("fleet-14d", "trips.csv", expect)

@@ -487,7 +487,7 @@ def _reference_parse(feed, format: str):
                 return line_no, _NOT_OBJECT[format]
             sid, lat, lon = (rec.get("id"), rec["lat"], rec["lon"]) if format == "jsonl" else _csv_fields(rec)
             if isinstance(sid, str) and any("\ud800" <= ch <= "\udfff" for ch in sid):
-                return line_no, "a byte that is not UTF-8"
+                return line_no, "an id holding a lone surrogate escape" if format == "jsonl" else "a byte that is not UTF-8"
             try:
                 point = float(lat), float(lon)
             except (ValueError, OverflowError):

@@ -11,31 +11,39 @@ from scootertrips.errors import (
     UnmappedPrimaryType,
 )
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, make_grid, offset_azimuthal, subdivide_cell
-from scootertrips.poi import (
-    FixturePlacesClient,
-    GroupTaxonomy,
+from scootertrips.poi.catalog import (
     MULTIPLE_TYPE,
+    BufferRing,
+    BufferSpec,
+    GroupTaxonomy,
+    ManualEntry,
     Poi,
-    QueryBudget,
     RawPoi,
     add_manual_pois,
     assign_groups,
     assign_primary,
-    canonical_query,
+    collapse_harvest_duplicates,
     dedupe_and_merge,
     exclude_primary_types,
     generate_buffers,
-    harvest,
     load_buffer_specs,
     load_catalog,
     load_taxonomy,
     location_key,
     normalize_catalog,
     save_catalog,
+)
+from scootertrips.poi.client import (
+    MAX_SUBDIVISION_DEPTH,
+    RETRIES,
+    FixturePlacesClient,
+    QueryBudget,
+    QueryPlanEntry,
+    canonical_query,
+    harvest,
+    query_places,
     select_low_density_cells,
 )
-from scootertrips.poi.catalog import BufferRing, BufferSpec, ManualEntry
-from scootertrips.poi.client import MAX_SUBDIVISION_DEPTH, RETRIES, QueryPlanEntry, query_places
 
 from conftest import CITY
 
@@ -339,10 +347,7 @@ def poi(pid, position, primary, source="nearby", name=None, types=None, vicinity
 
 class TestBuffers:
     def spec(self, selector, count, radius, ring2=None):
-        rings = [BufferRing(count=count, radius_m=radius)]
-        if ring2:
-            rings.append(BufferRing(count=ring2[0], radius_m=ring2[1], start_bearing_deg=360.0 / (2 * ring2[0])))
-        return BufferSpec(selector=selector, rings=tuple(rings))
+        return BufferSpec(count=count, radius_m=radius, selector=selector, ring2=BufferRing(*ring2) if ring2 else None)
 
     def test_aquarium_ring(self):
         parent = poi("aq", CITY, "aquarium", name="Georgia Aquarium")
@@ -497,11 +502,8 @@ class TestNormalizeAndPersistence:
         ]
         manual = [ManualEntry("Midtown", 33.7838, -84.383, "neighborhood")]
         specs = [
-            BufferSpec(selector={"name_contains": "Aquarium"}, rings=(BufferRing(8, 90.0),)),
-            BufferSpec(
-                selector={"primary_type": "neighborhood"},
-                rings=(BufferRing(8, 140.0), BufferRing(16, 290.0, 11.25)),
-            ),
+            BufferSpec(8, 90.0, selector={"name_contains": "Aquarium"}),
+            BufferSpec(8, 140.0, selector={"primary_type": "neighborhood"}, ring2=BufferRing(16, 290.0)),
         ]
         catalog, report = normalize_catalog(raws, tax, manual, specs)
         assert report.catalog_size == len(catalog)
@@ -512,8 +514,6 @@ class TestNormalizeAndPersistence:
         assert load_catalog(path) == catalog
 
     def test_repeat_retrievals_collapse_before_buffering(self):
-        from scootertrips.poi import collapse_harvest_duplicates
-
         aquarium = RawPoi("aq", "Georgia Aquarium", CITY, ("aquarium",), "4 St", "aquarium", "nearby")
         raws = [aquarium, aquarium, aquarium]  # three overlapping query disks
         collapsed, n = collapse_harvest_duplicates(raws)
@@ -527,17 +527,31 @@ class TestNormalizeAndPersistence:
     def test_normalize_keeps_buffer_parentage_for_repeat_retrievals(self):
         tax = load_taxonomy()
         aquarium = RawPoi("aq", "Georgia Aquarium", CITY, ("aquarium",), "4 St", "aquarium", "nearby")
-        specs = [BufferSpec(selector={"name_contains": "Aquarium"}, rings=(BufferRing(8, 90.0),))]
+        specs = [BufferSpec(8, 90.0, selector={"name_contains": "Aquarium"})]
         catalog, report = normalize_catalog([aquarium, aquarium], tax, (), specs)
         assert report.harvest_duplicates_collapsed == 1
         buffers = [p for p in catalog if p.source == "buffer"]
         assert len(buffers) == 8
         assert all(p.parent_id == "aq" for p in buffers)
 
+    def test_place_from_nearby_and_text_query_is_ringed_once(self):
+        tax = load_taxonomy()
+        types = ("subway_station", "transit_station")
+        nearby = RawPoi("st", "Five Points Station", CITY, types, "1 St", "subway_station", "nearby")
+        text = RawPoi("st", "Five Points Station", CITY, types, "1 St", "subway_station", "text")
+        specs = [BufferSpec(8, 20.0, selector={"primary_type": "subway_station"})]
+        catalog, report = normalize_catalog([nearby, text], tax, (), specs)
+        assert report.harvest_duplicates_collapsed == 0
+        assert report.buffers_added == 8
+        buffers = [p for p in catalog if p.source == "buffer"]
+        assert len(buffers) == 8
+        assert all(p.parent_id == "st" for p in buffers)
+        assert [p.id for p in catalog if p.source == "merged"] == ["st"]  # the two copies of the station only
+
     def test_bundled_buffer_specs_parse(self):
         specs = load_buffer_specs()
         assert len(specs) == 4
-        double = [s for s in specs if len(s.rings) == 2]
+        double = [s for s in specs if s.ring2 is not None]
         assert len(double) == 1
-        assert double[0].rings[1].count == 16
-        assert double[0].rings[1].radius_m == 290.0
+        assert double[0].ring2.count == 16
+        assert double[0].ring2.radius_m == 290.0

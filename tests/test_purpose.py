@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scootertrips.config import PipelineConfig
 from scootertrips.errors import DanglingPoiReference, OutOfOperatingHours
 from scootertrips.pipeline import write_report
-from scootertrips.poi import Poi
+from scootertrips.poi.catalog import Poi
 from scootertrips.purpose import (
     TimeSlot,
     build_matrix,

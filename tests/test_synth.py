@@ -1,5 +1,5 @@
 import io
-from datetime import datetime, timezone
+from datetime import date, datetime, time, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -84,6 +84,17 @@ class TestGenerate:
         # present through the operating day, absent by late night
         assert all(n == 1 for n in by_local_hour[(4, 20)])
         assert any(n == 0 for n in by_local_hour[(4, 23)]) or any(n == 0 for n in by_local_hour[(5, 0)])
+
+    @pytest.mark.parametrize("start", ["2019-03-09", "2019-03-10", "2019-11-02", "2019-11-03"])
+    def test_trips_keep_local_hours_across_dst_changes(self, start):
+        # slot windows and the 21:00 end limit are local wall clock, also on the day the offset changes
+        cfg = ScenarioConfig(rng_seed=3, fleet_size=60, days=2, start_date=date.fromisoformat(start))
+        truth, feed = generate(cfg)
+        local = lambda t: datetime.fromtimestamp(t, EST).time()
+        assert all(local(t.start_epoch_s) >= time(7, 0) for t in truth)
+        assert all(local(t.end_epoch_s) < time(21, 0) for t in truth)
+        _, report = clean_trips(extract_trips(feed), CleaningRules())
+        assert report.input_count > 0 and report.removed_hours == 0
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):

@@ -9,10 +9,11 @@ run the same config. The demo case runs each tree's own demo/config.json.
 Per case, the two manifests are compared apart from created_at, and every
 artifact that differs gets its first differing line printed.
 
-Usage: python3 tools/compare.py --base <rev> [--expect-change NAME ...] [--time N]
+Usage: python3 tools/compare.py --base <rev> [--expect-change [CASE:]NAME ...] [--time N]
 
 NAME is an artifact file name, a top-level manifest key (config_sha256, ...)
-or one stage's manifest entry (stages.associate, ...).
+or one stage's manifest entry (stages.associate, ...). A bare NAME may differ
+in every case; CASE:NAME (poi-dense:catalog.json) only in that case.
 Exits 1 on any difference not named with --expect-change, 0 otherwise.
 
 --time N runs N base/change pairs per case, alternating which side runs
@@ -102,6 +103,11 @@ def compare_case(base_out: Path, head_out: Path) -> dict[str, str]:
     return diffs
 
 
+def is_expected(case: str, name: str, expect_change: list[str]) -> bool:
+    """Whether --expect-change names the difference name, bare or as case:name."""
+    return name in expect_change or f"{case}:{name}" in expect_change
+
+
 def print_timing(pairs: list[dict]) -> None:
     for i, pair in enumerate(pairs, 1):
         b, c = pair["base"], pair["change"]
@@ -119,8 +125,9 @@ def print_timing(pairs: list[dict]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
-    parser.add_argument("--expect-change", action="append", default=[], metavar="NAME",
-                        help="an artifact, a manifest key or stages.<name> allowed to differ (repeatable)")
+    parser.add_argument("--expect-change", action="append", default=[], metavar="[CASE:]NAME",
+                        help="an artifact, a manifest key or stages.<name> allowed to differ, in every case "
+                             "or with CASE: in that one (repeatable)")
     parser.add_argument("--time", type=int, default=0, metavar="N",
                         help="run N alternating base/change pairs per case and report run_s and peak_rss_mb")
     args = parser.parse_args(argv)
@@ -153,7 +160,7 @@ def main(argv=None) -> int:
         if args.time:
             print_timing(pairs)
         for name, text in diffs.items():
-            expected = name in args.expect_change
+            expected = is_expected(case, name, args.expect_change)
             unexpected += not expected
             print(f"  {name} ({'expected' if expected else 'UNEXPECTED'}): {text}")
     shutil.rmtree(WORK, ignore_errors=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from scootertrips.config import DEFAULT_REGION
 from scootertrips.geo import GeoPoint, haversine_m, make_grid
-from scootertrips.poi import default_plan_path
+from scootertrips.poi.catalog import default_plan_path
 from scootertrips.poi.client import DENSIFY_TEXT_QUERIES, canonical_query, load_plan, normalize_query_type
 
 REPO = Path(__file__).resolve().parent.parent
