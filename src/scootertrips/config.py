@@ -77,7 +77,8 @@ class InputPaths:
 
 
 @dataclass
-class PipelineConfig(InputPaths):
+class PipelineConfig:
+    paths: InputPaths = field(default_factory=InputPaths)
     feed_format: str = "jsonl"
     bbox: Bbox = field(default_factory=lambda: DEFAULT_REGION)
     harvest_rows: int = 8
@@ -117,9 +118,8 @@ _CONFIG_PARSE = {"thresholds": parse_thresholds, "cleaning.day_start": time.from
 def load_config(path) -> tuple[PipelineConfig, dict]:
     """Load and validate a pipeline config; returns (config, raw dict for hashing).
 
-    The keys are PipelineConfig's fields, the InputPaths ones under paths, plus version and
-    cleaning.timezone (which must equal timezone); the retired ingest_bbox is ignored.
-    Relative paths inside the file resolve against the file's directory.
+    The keys are PipelineConfig's fields plus version. Relative paths under
+    paths resolve against the file's directory.
     """
     path = Path(path)
     where = f"config {path}"
@@ -129,18 +129,8 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise InvalidConfig(f"unsupported config version {version}; this build reads version {CONFIG_VERSION}")
-    obj = {key: value for key, value in raw.items() if key not in ("version", "ingest_bbox")}
-    paths = vars(decode(InputPaths, obj.pop("paths", {}), where, path="paths"))
-    if obj.keys() & paths.keys():
-        raise InvalidConfig(f"{where}: unknown keys {sorted(obj.keys() & paths.keys())}; input files go under paths")
-    tz = obj.get("timezone", DEFAULT_TIMEZONE)
-    if isinstance(obj.get("cleaning"), dict):
-        obj["cleaning"] = cleaning = dict(obj["cleaning"])
-        if cleaning.pop("timezone", tz) != tz:
-            raise InvalidConfig(f"cleaning.timezone {raw['cleaning']['timezone']!r} differs from timezone {tz!r}; "
-                                "one zone drives the day cut, the hours filter and the report slots")
-    paths = {key: p and str(path.parent / p) for key, p in paths.items()}
-    cfg = decode(PipelineConfig, {**obj, **paths}, where, _CONFIG_PARSE)
+    cfg = decode(PipelineConfig, {key: value for key, value in raw.items() if key != "version"}, where, _CONFIG_PARSE)
+    cfg.paths = InputPaths(**{key: p and str(path.parent / p) for key, p in vars(cfg.paths).items()})
     # a kept trip starts in [day_start, day_end); the report puts every one in a time slot
     rules = cfg.cleaning
     slots_start = time(*divmod(min(s.start_minute for s in TimeSlot), 60))

@@ -98,8 +98,6 @@ def offset_azimuthal(center: GeoPoint, bearing_deg: float, radius_m: float) -> G
 
 @dataclass(frozen=True)
 class GridCell:
-    row: int
-    col: int
     bbox: Bbox
     center: GeoPoint
     circumradius_m: float
@@ -123,17 +121,11 @@ class GridSpec:
         return r * self.cols + c
 
 
-def _cell_for_bounds(row: int, col: int, lat0: float, lat1: float, lon0: float, lon1: float) -> GridCell:
+def _cell_for_bounds(lat0: float, lat1: float, lon0: float, lon1: float) -> GridCell:
     center = GeoPoint((lat0 + lat1) / 2.0, (lon0 + lon1) / 2.0)
     corners = (GeoPoint(lat0, lon0), GeoPoint(lat0, lon1), GeoPoint(lat1, lon0), GeoPoint(lat1, lon1))
     radius = max(haversine_m(center, corner) for corner in corners)
-    return GridCell(
-        row=row,
-        col=col,
-        bbox=Bbox(GeoPoint(lat0, lon0), GeoPoint(lat1, lon1)),
-        center=center,
-        circumradius_m=radius,
-    )
+    return GridCell(bbox=Bbox(GeoPoint(lat0, lon0), GeoPoint(lat1, lon1)), center=center, circumradius_m=radius)
 
 
 def subdivide_cell(cell: GridCell) -> list[GridCell]:
@@ -142,11 +134,7 @@ def subdivide_cell(cell: GridCell) -> list[GridCell]:
     lon_mid = (cell.bbox.min.lon + cell.bbox.max.lon) / 2.0
     lats = (cell.bbox.min.lat, lat_mid, cell.bbox.max.lat)
     lons = (cell.bbox.min.lon, lon_mid, cell.bbox.max.lon)
-    out = []
-    for r in range(2):
-        for c in range(2):
-            out.append(_cell_for_bounds(2 * cell.row + r, 2 * cell.col + c, lats[r], lats[r + 1], lons[c], lons[c + 1]))
-    return out
+    return [_cell_for_bounds(lats[r], lats[r + 1], lons[c], lons[c + 1]) for r in range(2) for c in range(2)]
 
 
 def make_grid(bbox: Bbox, rows: int, cols: int) -> GridSpec:
@@ -155,11 +143,12 @@ def make_grid(bbox: Bbox, rows: int, cols: int) -> GridSpec:
         raise ValueError("rows and cols must be >= 1")
     lat_edges = np.linspace(bbox.min.lat, bbox.max.lat, rows + 1).tolist()
     lon_edges = np.linspace(bbox.min.lon, bbox.max.lon, cols + 1).tolist()
-    cells = []
-    for r in range(rows):
-        for c in range(cols):
-            cells.append(_cell_for_bounds(r, c, lat_edges[r], lat_edges[r + 1], lon_edges[c], lon_edges[c + 1]))
-    return GridSpec(bbox=bbox, rows=rows, cols=cols, cells=tuple(cells))
+    cells = tuple(
+        _cell_for_bounds(lat_edges[r], lat_edges[r + 1], lon_edges[c], lon_edges[c + 1])
+        for r in range(rows)
+        for c in range(cols)
+    )
+    return GridSpec(bbox=bbox, rows=rows, cols=cols, cells=cells)
 
 
 class SpatialIndex:

@@ -73,16 +73,6 @@ class ObservationView(Sequence):
         for sid, lat, lon in zip(b.ids, b.lat.tolist(), b.lon.tolist()):
             yield ScooterObservation(sid, GeoPoint(lat, lon))
 
-    def __eq__(self, other):
-        if isinstance(other, (ObservationView, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ObservationView({list(self)!r})"
-
 
 @dataclass(eq=False)
 class SnapshotBatch:
@@ -307,11 +297,10 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
     current_ts: datetime | None = None
     current_raw_ts: str | None = None
     rows: list[list[str]] = []
-    line_nos: list[int] = []
-    line_no = 0
+    line_nos: list[int] = []  # the line where each row ends
     try:
         for row in reader:
-            line_no += 1
+            line_no = reader.line_num
             if not row:
                 continue
             if line_no == 1 and row[0].strip().lower() == "ts":
@@ -373,39 +362,15 @@ def _jsonl_line(batch: SnapshotBatch, null_fill_to: int) -> str:
     return f'{{"ts":"{format_ts(batch.ts)}","scooters":[{",".join(records)}]}}\n'
 
 
-def write_snapshot_stream(
-    batches: Iterable[SnapshotBatch], sink, format: str = "jsonl", *, null_fill_to: int = 0
-) -> int:
-    """Serialize batches back to feed form; returns the number of batches written.
+def write_jsonl(batches: Iterable[SnapshotBatch], path, *, null_fill_to: int = 0) -> int:
+    """Write batches to path as a JSONL feed; returns the number of batches written.
 
     null_fill_to pads each batch with null-id records at (0.0, 0.0) up to that
     many records, as a server does that reports in-use scooters as null.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown feed format {format!r}; expected one of {FORMATS}")
-    if isinstance(sink, (str, Path)):
-        fh = open(sink, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = sink
-        close = False
     n = 0
-    try:
-        if format == "jsonl":
-            for batch in batches:
-                fh.write(_jsonl_line(batch, null_fill_to))
-                n += 1
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(["ts", "id", "lat", "lon"])
-            for batch in batches:
-                ts = format_ts(batch.ts)
-                lat = map(repr, batch.lat.tolist())
-                lon = map(repr, batch.lon.tolist())
-                writer.writerows([ts, sid, la, lo] for sid, la, lo in zip(batch.ids, lat, lon))
-                writer.writerows([[ts, "", "0.0", "0.0"]] * (null_fill_to - len(batch.ids)))
-                n += 1
-    finally:
-        if close:
-            fh.close()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for batch in batches:
+            fh.write(_jsonl_line(batch, null_fill_to))
+            n += 1
     return n

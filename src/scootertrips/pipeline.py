@@ -129,9 +129,9 @@ def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
     """Generate the synthetic feed and its ground truth from paths.scenario;
     writes feed.jsonl and truth.json. The scenario's time zone must be the
     config's."""
-    if not cfg.scenario:
+    if not cfg.paths.scenario:
         raise InvalidConfig("config needs paths.scenario to simulate a feed, or paths.feed to read one")
-    scenario = ScenarioConfig.load(cfg.scenario)
+    scenario = ScenarioConfig.load(cfg.paths.scenario)
     if scenario.timezone != cfg.timezone:
         raise InvalidConfig(
             f"scenario timezone {scenario.timezone!r} differs from timezone {cfg.timezone!r}; one zone drives "
@@ -151,7 +151,7 @@ def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResu
     cleaning_report.json, and the raw trips CSV to raw_out when given. The
     output is the cleaned TripTable."""
     out_dir = Path(out_dir)
-    stream = parse_snapshot_stream(cfg.feed or out_dir / FEED, format=cfg.feed_format)
+    stream = parse_snapshot_stream(cfg.paths.feed or out_dir / FEED, format=cfg.feed_format)
     raw_trips = extract_trips(stream, timezone_name=cfg.timezone)
     if raw_out:
         write_trips_csv(raw_trips, raw_out)
@@ -188,10 +188,10 @@ def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
 
 def _harvest(cfg: PipelineConfig, pois: list, budget: QueryBudget) -> dict:
     """Run the harvest passes, appending to pois; returns the stage counts."""
-    if not cfg.fixtures_dir:
+    if not cfg.paths.fixtures_dir:
         raise InvalidConfig("no fixture directory: set paths.fixtures_dir")
-    client = FixturePlacesClient(cfg.fixtures_dir)
-    plan = load_plan(cfg.plan or default_plan_path())
+    client = FixturePlacesClient(cfg.paths.fixtures_dir)
+    plan = load_plan(cfg.paths.plan or default_plan_path())
     queries, truncated = harvest(client, make_grid(cfg.bbox, cfg.harvest_rows, cfg.harvest_cols), plan, budget, pois)
     stats = {
         "grid": [cfg.harvest_rows, cfg.harvest_cols],
@@ -217,7 +217,7 @@ def _harvest(cfg: PipelineConfig, pois: list, budget: QueryBudget) -> dict:
 
 def taxonomy_groups(cfg: PipelineConfig) -> list[str]:
     """The matrix and sensitivity axis: the taxonomy's groups, in its order."""
-    return list(load_taxonomy(cfg.taxonomy).groups)
+    return list(load_taxonomy(cfg.paths.taxonomy).groups)
 
 
 def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
@@ -225,7 +225,10 @@ def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
     rings added, duplicates merged); writes catalog.json. The output is the
     catalog."""
     catalog, report = normalize_catalog(
-        raw_pois, load_taxonomy(cfg.taxonomy), load_manual_entries(cfg.manual_pois), load_buffer_specs(cfg.buffers)
+        raw_pois,
+        load_taxonomy(cfg.paths.taxonomy),
+        load_manual_entries(cfg.paths.manual_pois),
+        load_buffer_specs(cfg.paths.buffers),
     )
     path = Path(out_dir) / CATALOG
     save_catalog(catalog, path)
@@ -343,7 +346,7 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         return result.output
 
     try:
-        if not cfg.feed:
+        if not cfg.paths.feed:
             stage = "simulate"
             record(simulate_feed(cfg, out_dir))
         stage = "extract"

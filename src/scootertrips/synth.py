@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_REGION, check_timezone
 from .errors import InvalidConfig
 from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
-from .ingest import SnapshotBatch, write_snapshot_stream
+from .ingest import SnapshotBatch, write_jsonl
 from .jsonio import decode, encode, held_as, read_json, write_json
 from .purpose import TimeSlot
 from .trips import COLOCATION_EPS_M, DEFAULT_TIMEZONE, TripTable
@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 
 SLOT_WINDOWS = {s.label: (s.start_minute * 60, s.end_minute * 60) for s in TimeSlot}  # seconds of the local day
 DEFAULT_TRIP_RATES = {"morning": 0.4, "lunch": 0.5, "afternoon": 0.7, "evening": 0.6, "night": 0.5}
+SPEED_MPS = (2.0, 5.0)  # a trip's speed is drawn uniformly from [min, max)
 _SCENARIO_PARSE = {"start_date": date.fromisoformat}
 
 
@@ -43,8 +44,6 @@ class ScenarioConfig:
     trip_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TRIP_RATES))
     displacement_min_m: float = 100.0
     displacement_max_m: float = 2500.0
-    speed_min_mps: float = 2.0
-    speed_max_mps: float = 5.0
     anchors: list[GeoPoint] | None = None
     anchor_jitter_m: float = 25.0
     position_jitter_m: float = 0.0
@@ -57,8 +56,6 @@ class ScenarioConfig:
             raise InvalidConfig("fleet_size and days must be >= 1")
         if not 0 < self.displacement_min_m < self.displacement_max_m:
             raise InvalidConfig("displacement bounds must satisfy 0 < min < max")
-        if not 0 < self.speed_min_mps <= self.speed_max_mps:
-            raise InvalidConfig("speed bounds must satisfy 0 < min <= max")
         unknown = set(self.trip_rates) - set(SLOT_WINDOWS)
         if unknown:
             raise InvalidConfig(f"unknown trip-rate slots: {sorted(unknown)}")
@@ -216,7 +213,7 @@ def generate(config: ScenarioConfig) -> tuple[list[TruthTrip], list[SnapshotBatc
                 dest = sampler.destination(pos)
                 if dest is None:
                     continue
-                speed = float(rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps))
+                speed = float(rng.uniform(*SPEED_MPS))
                 e = s + haversine_m(pos, dest) / speed
                 if e >= day_end_limit:
                     continue
@@ -260,7 +257,7 @@ def generate(config: ScenarioConfig) -> tuple[list[TruthTrip], list[SnapshotBatc
 def write_feed(batches: Sequence[SnapshotBatch], path, *, null_fill_to: int | None = None) -> int:
     """Write the feed as JSONL; null_fill_to pads each batch with null-id records
     up to the fleet size, mirroring a server that reports in-use scooters as null."""
-    return write_snapshot_stream(batches, path, format="jsonl", null_fill_to=null_fill_to or 0)
+    return write_jsonl(batches, path, null_fill_to=null_fill_to or 0)
 
 
 def save_truth(truth: Sequence[TruthTrip], path, *, cadence_s: int, timezone_name: str) -> None:

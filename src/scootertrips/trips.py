@@ -87,7 +87,10 @@ class TripTable:
         return self.start.shape[0]
 
     def take(self, rows: np.ndarray) -> "TripTable":
-        """The rows a boolean mask or an index array selects, in that order."""
+        """The rows a boolean mask or an index array selects, in that order;
+        the table itself for a mask that keeps every row."""
+        if isinstance(rows, np.ndarray) and rows.dtype == bool and rows.all():
+            return self
         columns = {
             f.name: getattr(self, f.name)[rows]
             for f in fields(self)

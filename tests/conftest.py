@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from scootertrips.geo import GeoPoint, haversine_m
-from scootertrips.ingest import ScooterObservation, SnapshotBatch
+from scootertrips.ingest import ScooterObservation, SnapshotBatch, format_ts
 from scootertrips.trips import TripTable
 
 UTC = timezone.utc
@@ -34,6 +37,25 @@ def batch(offset_s: int, observations, base: datetime = BASE_TS) -> SnapshotBatc
 
 def obs(scooter_id: str, point: GeoPoint) -> ScooterObservation:
     return ScooterObservation(scooter_id, point)
+
+
+def feed_text(batches, format: str = "jsonl", null_fill_to: int = 0) -> str:
+    """The batches as a feed in format, each padded with null-id records at
+    (0.0, 0.0) up to null_fill_to records."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if format == "csv":
+        writer.writerow(["ts", "id", "lat", "lon"])
+    for b in batches:
+        ts = format_ts(b.ts)
+        records = list(zip(b.ids, b.lat.tolist(), b.lon.tolist()))
+        records += [(None, 0.0, 0.0)] * (null_fill_to - len(records))
+        if format == "jsonl":
+            scooters = [{"id": sid, "lat": lat, "lon": lon} for sid, lat, lon in records]
+            buf.write(json.dumps({"ts": ts, "scooters": scooters}, separators=(",", ":")) + "\n")
+        else:
+            writer.writerows([ts, sid, repr(lat), repr(lon)] for sid, lat, lon in records)
+    return buf.getvalue()
 
 
 class Row(NamedTuple):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from scootertrips.config import PipelineConfig, load_config
+from scootertrips.config import InputPaths, PipelineConfig, load_config
 from scootertrips.errors import BudgetExhausted, InvalidConfig
 from scootertrips.geo import make_grid
 from scootertrips.pipeline import harvest_pois
@@ -105,7 +105,7 @@ def test_harvest_budget_exhausted_exit_code(tmp_path):
 
 
 def test_harvest_densify_budget_exhausted_keeps_base_pass(tmp_path):
-    cfg = PipelineConfig(fixtures_dir=str(DEMO / "fixtures"), query_budget=1100, densify=True)
+    cfg = PipelineConfig(paths=InputPaths(fixtures_dir=str(DEMO / "fixtures")), query_budget=1100, densify=True)
     result = harvest_pois(cfg, tmp_path)
     assert isinstance(result.error, BudgetExhausted)
     assert result.stages == {"harvest": {"raw_pois": 38, "budget_used": 1100}}
@@ -298,15 +298,19 @@ def test_scenario_in_another_timezone_is_rejected(tmp_path, capsys):
 
 def test_config_rejects_a_second_timezone(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/New_York"}}))
-    with pytest.raises(InvalidConfig, match="cleaning.timezone"):
-        load_config(path)
-    path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": "America/Chicago"}}))
-    assert load_config(path)[0].timezone == "America/Chicago"
+    for zone in ("America/New_York", "America/Chicago"):  # timezone is the one zone, equal or not
+        path.write_text(json.dumps({"timezone": "America/Chicago", "cleaning": {"timezone": zone}}))
+        with pytest.raises(InvalidConfig, match=re.escape("unknown keys ['cleaning.timezone']")):
+            load_config(path)
 
 
 def bad_scenario(tmp_path) -> dict:
     return {"paths": {"scenario": str(write_scenario(tmp_path, fleet=8))}}
+
+
+def speed_scenario(key: str):
+    """Overrides naming a scenario that sets key, a speed bound scenarios no longer have."""
+    return lambda tmp_path: {"paths": {"scenario": str(write_scenario(tmp_path, **{key: 3.0}))}}
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -318,8 +322,10 @@ def bad_scenario(tmp_path) -> dict:
     ({"cleaning": {"day_end": "22:00"}}, "cleaning.day_end"),
     (bad_scenario, "fleet"),
     ({"timezone": "Mars/Base"}, "Mars/Base"),
+    (speed_scenario("speed_min_mps"), "unknown keys ['speed_min_mps']"),
+    (speed_scenario("speed_max_mps"), "unknown keys ['speed_max_mps']"),
 ], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "day-start-before-slots", "day-end-after-slots",
-        "scenario-key", "timezone"])
+        "scenario-key", "timezone", "scenario-speed-min", "scenario-speed-max"])
 def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key):
     if callable(overrides):
         overrides = overrides(tmp_path)
@@ -493,8 +499,8 @@ def test_bad_input_file_is_a_data_error(demo_run, tmp_path, capsys, caplog, setu
 
 
 def test_config_keys_outside_the_schema(tmp_path):
-    assert load_config(write_config(tmp_path, ingest_bbox=True))[0] == load_config(DEMO / "config.json")[0]
     for overrides, words in [({"notes": "x"}, "unknown keys ['notes']"), ({"feed": "x.jsonl"}, "unknown keys ['feed']"),
+                             ({"ingest_bbox": True}, "unknown keys ['ingest_bbox']"),
                              ({"paths": {"feeed": "x.jsonl"}}, "unknown keys ['paths.feeed']")]:
         with pytest.raises(InvalidConfig, match=re.escape(words)):
             load_config(write_config(tmp_path, **overrides))

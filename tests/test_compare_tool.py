@@ -76,3 +76,30 @@ def test_expected_change_is_scoped_to_its_case():
     assert compare.is_expected("poi-dense", "catalog.json", expect)
     assert not compare.is_expected("demo", "catalog.json", expect)
     assert not compare.is_expected("fleet-14d", "trips.csv", expect)
+
+
+def test_record_differences_count_lines_and_json_records(tmp_path):
+    (tmp_path / "a.csv").write_text("id,start\na,1\nb,2\nc,3\n")
+    (tmp_path / "b.csv").write_text("id,start\na,1\nb,9\nc,3\nd,4\n")
+    assert compare.record_differences(tmp_path / "a.csv", tmp_path / "b.csv") == (
+        "lines differing at the same position: 1 (base has 4, change 5)")
+    (tmp_path / "a.json").write_text(json.dumps([{"id": "p0", "lat": 1.0}, {"id": "p1", "lat": 2.0}], indent=1))
+    (tmp_path / "b.json").write_text(json.dumps([{"id": "p0", "lat": 1.5}, {"id": "p1", "lat": 2.5}], indent=1))
+    assert compare.record_differences(tmp_path / "a.json", tmp_path / "b.json") == (
+        "records differing at the same position: 2 (base has 2, change 2)")
+    # an object root: one record per key, and one per item of a list value
+    (tmp_path / "c.json").write_text(json.dumps({"cadence_s": 600, "trips": [1, 2, 3]}))
+    (tmp_path / "d.json").write_text(json.dumps({"cadence_s": 600, "trips": [1, 5, 3, 4]}))
+    assert compare.records(tmp_path / "c.json") == [("cadence_s", 600), ("trips", 1), ("trips", 2), ("trips", 3)]
+    assert compare.record_differences(tmp_path / "c.json", tmp_path / "d.json") == (
+        "records differing at the same position: 1 (base has 4, change 5)")
+
+
+def test_dst_case_is_the_demo_starting_before_the_march_change(tmp_path):
+    demo = Path(compare.ROOT) / "demo"
+    config = compare.dst_config(compare.ROOT, tmp_path / "dst")
+    assert config.read_bytes() == (demo / "config.json").read_bytes()  # the same config hash as the demo's
+    scenario = json.loads((config.parent / "scenario.json").read_text())
+    assert scenario == {**json.loads((demo / "scenario.json").read_text()), "start_date": "2019-03-09"}
+    assert sorted(p.name for p in (config.parent / "fixtures").iterdir()) == sorted(
+        p.name for p in (demo / "fixtures").iterdir())

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from scootertrips.cli import EXIT_OK, main
 from scootertrips.config import load_config
 from scootertrips.errors import PipelineError
-from scootertrips.ingest import parse_snapshot_stream, write_snapshot_stream
+from scootertrips.ingest import parse_snapshot_stream
 from scootertrips.pipeline import run_stage
+
+from conftest import feed_text
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
@@ -58,7 +60,7 @@ def base(tmp_path_factory) -> Path:
         shutil.copy(DATA / name, root)
     for name in ARTIFACTS + ("feed.jsonl",):
         shutil.copy(run / name, root)
-    write_snapshot_stream(parse_snapshot_stream(run / "feed.jsonl"), root / "feed.csv", format="csv")
+    (root / "feed.csv").write_text(feed_text(parse_snapshot_stream(run / "feed.jsonl"), "csv"), newline="")
     return root
 
 

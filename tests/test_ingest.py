@@ -14,11 +14,10 @@ from scootertrips.ingest import (
     SnapshotBatch,
     format_ts,
     parse_snapshot_stream,
-    write_snapshot_stream,
 )
 from scootertrips.trips import extract_trips
 
-from conftest import batch, obs, rows
+from conftest import batch, feed_text, obs, rows
 
 
 def parse_all(text: str, format: str = "jsonl"):
@@ -127,7 +126,7 @@ class TestCsv:
     def test_empty_id_counts_as_null(self):
         text = "ts,id,lat,lon\n2019-02-02T12:00:00Z,,33.77,-84.39\n"
         batches, stats = parse_all(text, format="csv")
-        assert batches[0].observations == []
+        assert list(batches[0].observations) == []
         assert stats.dropped_null_id == 1
 
     def test_csv_non_monotonic(self):
@@ -183,13 +182,11 @@ def test_round_trip_lossless_for_retained_records(data):
             seen.add(sid)
             kept.append(obs(sid, p))
         batches.append(batch(i * 600, kept))
-    buf = io.StringIO()
-    write_snapshot_stream(batches, buf)
-    reparsed = list(parse_snapshot_stream(io.StringIO(buf.getvalue())))
+    reparsed = list(parse_snapshot_stream(io.StringIO(feed_text(batches))))
     assert len(reparsed) == len(batches)
     for orig, back in zip(batches, reparsed):
         assert back.ts == orig.ts
-        assert back.observations == orig.observations
+        assert list(back.observations) == list(orig.observations)
 
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
@@ -197,7 +194,7 @@ def test_byte_that_is_not_utf8_names_its_line(tmp_path, format):
     points = [GeoPoint(33.77, -84.39), GeoPoint(33.78, -84.38), GeoPoint(33.775, -84.385)]
     batches = [batch(i * 600, [obs(sid, p) for sid, p in zip(("s0", "s1", "s2"), points)]) for i in range(4)]
     path = tmp_path / f"feed.{format}"
-    write_snapshot_stream(batches, path, format=format)
+    path.write_text(feed_text(batches, format), newline="")
     lines = path.read_bytes().split(b"\n")
     lines[2] = lines[2].replace(b"s1", b"s\xff1")  # line 3: the third batch, or the first batch's s1
     path.write_bytes(b"\n".join(lines))
@@ -209,10 +206,8 @@ def test_byte_that_is_not_utf8_names_its_line(tmp_path, format):
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
 def test_non_ascii_ids_parse(format):
     b = batch(0, [obs("é1", GeoPoint(33.77, -84.39)), obs("日2", GeoPoint(33.78, -84.38))])
-    buf = io.StringIO()
-    write_snapshot_stream([b], buf, format=format)
-    (back,) = parse_snapshot_stream(io.StringIO(buf.getvalue()), format=format)
-    assert back.observations == b.observations
+    (back,) = parse_snapshot_stream(io.StringIO(feed_text([b], format)), format=format)
+    assert list(back.observations) == list(b.observations)
 
 
 def test_csv_round_trip_lossless(tmp_path):
@@ -221,9 +216,9 @@ def test_csv_round_trip_lossless(tmp_path):
         batch(600, [obs("a", GeoPoint(33.772, -84.392))]),
     ]
     path = tmp_path / "feed.csv"
-    write_snapshot_stream(batches, path, format="csv")
+    path.write_text(feed_text(batches, "csv"), newline="")
     back = list(parse_snapshot_stream(path, format="csv"))
-    assert [b.observations for b in back] == [b.observations for b in batches]
+    assert [list(b.observations) for b in back] == [list(b.observations) for b in batches]
 
 
 T0, T1, T2 = "2019-02-02T11:50:00Z", "2019-02-02T12:00:00Z", "2019-02-02T12:10:00Z"
@@ -336,6 +331,10 @@ MALFORMED = {
             f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n\n{T1},b,91,-84.3\n",
             (MalformedRecord, 4, "coordinates out of range (91.0, -84.3)", 0),
         ),
+        "bad_row_after_an_id_spanning_two_lines": (  # a row's line is the one where it ends
+            f'ts,id,lat,lon\n{T1},"a\nb",33.7,-84.3\n{T1},c,91,-84.3\n',
+            (MalformedRecord, 4, "coordinates out of range (91.0, -84.3)", 0),
+        ),
         "bad_ts_after_bad_row": (
             f"ts,id,lat,lon\n{T1},a,33.7,x\nlater,a,33.7,-84.3\n",
             (MalformedRecord, 2, "non-numeric coordinates (33.7, 'x')", 0),
@@ -400,7 +399,7 @@ def test_observations_view_is_lazy_and_read_only():
     b = batch(0, [obs("a", GeoPoint(33.77, -84.39)), obs("b", GeoPoint(33.78, -84.38))])
     view = b.observations
     assert len(view) == 2 and view[-1] == obs("b", GeoPoint(33.78, -84.38))
-    assert view == list(view) and view != [] and view == b.observations
+    assert list(view) == [obs("a", GeoPoint(33.77, -84.39)), obs("b", GeoPoint(33.78, -84.38))]
     with pytest.raises(TypeError):
         view[0] = obs("c", GeoPoint(33.7, -84.3))
 
@@ -420,11 +419,8 @@ def test_jsonl_and_csv_feeds_agree(data, pad):
     # duplicates are written as given, so both parsers must drop the same ones;
     # every batch has a record, since a CSV feed cannot carry an empty batch
     batches = [batch(i * 600, [obs(sid, p) for sid, p in rows]) for i, rows in enumerate(data)]
-    jsonl, csv_text = io.StringIO(), io.StringIO()
-    write_snapshot_stream(batches, jsonl, "jsonl", null_fill_to=pad)
-    write_snapshot_stream(batches, csv_text, "csv", null_fill_to=pad)
-    from_jsonl = parse_snapshot_stream(io.StringIO(jsonl.getvalue()), "jsonl")
-    from_csv = parse_snapshot_stream(io.StringIO(csv_text.getvalue()), "csv")
+    from_jsonl = parse_snapshot_stream(io.StringIO(feed_text(batches, "jsonl", pad)), "jsonl")
+    from_csv = parse_snapshot_stream(io.StringIO(feed_text(batches, "csv", pad)), "csv")
     assert rows(extract_trips(from_jsonl)) == rows(extract_trips(from_csv))
     assert from_jsonl.stats == from_csv.stats
     assert from_jsonl.stats.input_records == sum(max(len(rows), pad) for rows in data)

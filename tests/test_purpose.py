@@ -1,4 +1,5 @@
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from scootertrips.purpose import (
     drill_down,
     slot_predicate,
 )
+from scootertrips.trips import CleaningRules, clean_trips
 
-from conftest import CITY, Row, table_of
+from conftest import CITY, Row, rows, table_of
 
 UTC = timezone.utc
 EST = timezone(timedelta(hours=-5))
@@ -244,3 +246,60 @@ def test_report_rejects_trip_outside_operating_hours(tmp_path):
     within = table_of([assoc("biz1", "food1"), assoc("biz1", "food1", datetime(2019, 2, 4, 6, 30))])
     with pytest.raises(OutOfOperatingHours, match="06:30"):
         write_report(PipelineConfig(timezone="America/New_York", drilldowns=[]), within, CATALOG, tmp_path)
+
+
+NEW_YORK = "America/New_York"
+NY = ZoneInfo(NEW_YORK)
+
+
+def dst_day_epochs(day: date) -> tuple[int, int, list[int]]:
+    """The epoch second where day starts in New York, where it ends, and the
+    epochs around its wall-clock edges: the changed hour, the operating
+    window and the slot bounds, each at fold 0 and 1 and a second either side."""
+    lo, hi = (int(datetime.combine(d, time(0), NY).timestamp()) for d in (day, day + timedelta(days=1)))
+    edges = {int(datetime.combine(day, time(h), NY).replace(fold=fold).timestamp()) + dt
+             for h in (1, 2, 3, 7, 11, 14, 17, 19, 21) for fold in (0, 1) for dt in (-1, 0, 1)}
+    return lo, hi, sorted(t for t in edges if lo <= t < hi)
+
+
+@st.composite
+def dst_trips(draw):
+    """A trip table on 2019-03-10 or 2019-11-03, the 2019 DST change days in
+    New York, whose trips start and end on that local day, and cleaning rules."""
+    lo, hi, edges = dst_day_epochs(draw(st.sampled_from([date(2019, 3, 10), date(2019, 11, 3)])))
+    epoch = st.one_of(st.integers(lo, hi - 1), st.sampled_from(edges))
+    trips = []
+    for i, (start, end) in enumerate(draw(st.lists(st.tuples(epoch, epoch), min_size=1, max_size=12))):
+        start, end = sorted((start, end))
+        start_ts, end_ts = (datetime.fromtimestamp(t, UTC) for t in (start, end))
+        trips.append(Row(f"s{i}", CITY, CITY, start_ts, end_ts, 500.0))
+    first, last = sorted(draw(st.lists(st.integers(0, 24 * 60 - 1), min_size=2, max_size=2, unique=True)))
+    return trips, CleaningRules(day_start=time(*divmod(first, 60)), day_end=time(*divmod(last, 60)))
+
+
+@given(dst_trips())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_dst_days_use_zoneinfo_local_time(case):
+    trips, rules = case
+    table = table_of(trips)
+    local_start = [r.start_ts.astimezone(NY) for r in trips]
+    local_end = [r.end_ts.astimezone(NY) for r in trips]
+
+    def in_window(local):
+        return rules.day_start <= local.time() < rules.day_end
+
+    kept, _ = clean_trips(table, rules, NEW_YORK)
+    assert rows(kept) == [r for r, s, e in zip(trips, local_start, local_end) if in_window(s) and in_window(e)]
+
+    weekend = [s.weekday() >= 5 for s in local_start]
+    assert day_class_predicate("weekend", NEW_YORK)(table).tolist() == weekend
+    assert day_class_predicate("weekday", NEW_YORK)(table).tolist() == [not w for w in weekend]
+
+    def bound(minute):
+        return time(*divmod(minute, 60))
+
+    in_hours = [i for i, s in enumerate(local_start) if time(7) <= s.time() < time(21)]
+    operating = table.take(np.array(in_hours, dtype=np.intp))
+    for slot in TimeSlot:
+        want = [bound(slot.start_minute) <= local_start[i].time() < bound(slot.end_minute) for i in in_hours]
+        assert slot_predicate(slot, NEW_YORK)(operating).tolist() == want

@@ -1,4 +1,3 @@
-import io
 from datetime import date, datetime, time, timezone
 from zoneinfo import ZoneInfo
 
@@ -6,20 +5,14 @@ import pytest
 
 from scootertrips.errors import InvalidConfig
 from scootertrips.geo import GeoPoint
-from scootertrips.ingest import parse_snapshot_stream, write_snapshot_stream
+from scootertrips.ingest import parse_snapshot_stream
 from scootertrips.synth import ScenarioConfig, TruthTrip, generate, load_truth, save_truth, score, write_feed
 from scootertrips.trips import CleaningRules, clean_trips, extract_trips
 
-from conftest import batch, rows
+from conftest import batch, feed_text, rows
 
 UTC = timezone.utc
 EST = ZoneInfo("America/New_York")
-
-
-def feed_text(batches) -> str:
-    buf = io.StringIO()
-    write_snapshot_stream(batches, buf)
-    return buf.getvalue()
 
 
 class TestGenerate:
@@ -182,7 +175,7 @@ class TestPersistence:
         stream = parse_snapshot_stream(path)
         back = list(stream)
         assert len(back) == len(feed)
-        assert back[0].observations == feed[0].observations
+        assert list(back[0].observations) == list(feed[0].observations)
         assert stream.stats.dropped_null_id == 0
 
     def test_null_fill_exercises_in_use_counter(self, tmp_path):

@@ -196,6 +196,16 @@ class TestCrop:
         assert rows(kept) == [inside] and removed == 1
 
 
+def test_take_of_a_keep_all_mask_is_the_table_itself():
+    table = table_of([make_trip("a", destination=B500), make_trip("b", destination=B500, start_offset_s=600)])
+    assert table.take(np.ones(2, dtype=bool)) is table
+    kept, removed = crop_trips(table, Bbox(GeoPoint(33.0, -85.0), GeoPoint(34.0, -84.0)))
+    assert kept is table and removed == 0
+    second = table.take(np.array([False, True]))
+    assert second is not table and rows(second) == rows(table)[1:]
+    assert rows(table.take(np.array([1, 0]))) == rows(table)[::-1]  # an index array selects, in its order
+
+
 def test_trips_csv_round_trip(tmp_path):
     trips = [
         make_trip("S1", CITY, B500, 0, 600),

@@ -5,9 +5,14 @@ of the working tree.
 The base tree is extracted with `git archive` into .bench_work/compare/base.
 Each workload named in the base tree's BENCHMARK.json has its inputs written
 once, at seed 1, by the base tree's perfbench/workloads.py; both trees then
-run the same config. The demo case runs each tree's own demo/config.json.
+run the same config. The demo case runs each tree's own demo/config.json; the
+dst case runs a copy of each tree's demo directory whose scenario starts on
+2019-03-09, so its three days span the 2019-03-10 daylight-saving change.
 Per case, the two manifests are compared apart from created_at, and every
-artifact that differs gets its first differing line printed.
+artifact that differs gets its first differing line printed, then how many
+of its records differ at the same position and both totals. A record is a
+line, or for a JSON file an item of its root list (for a root object: one
+per key, or one per item of a list value).
 
 Usage: python3 tools/compare.py --base <rev> [--expect-change [CASE:]NAME ...] [--time N]
 
@@ -41,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "compare"
+DST_START = "2019-03-09"
 
 
 def extract_tree(rev: str, dest: Path) -> None:
@@ -76,6 +82,34 @@ def first_difference(a: Path, b: Path) -> str:
             if la != lb:
                 return f"line {line_no}: {la[:200]!r} != {lb[:200]!r}"
     return "one file is a prefix of the other"
+
+
+def records(path: Path) -> list:
+    """The records of an artifact, as the module docstring defines them."""
+    if path.suffix != ".json":
+        return path.read_bytes().splitlines()
+    root = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(root, dict):
+        return [(key, item) for key, value in root.items() for item in (value if isinstance(value, list) else [value])]
+    return root if isinstance(root, list) else [root]
+
+
+def record_differences(a: Path, b: Path) -> str:
+    """How many records of two versions of an artifact differ at the same position."""
+    ra, rb = records(a), records(b)
+    unit = "records" if a.suffix == ".json" else "lines"
+    differ = sum(x != y for x, y in zip(ra, rb))
+    return f"{unit} differing at the same position: {differ} (base has {len(ra)}, change {len(rb)})"
+
+
+def dst_config(tree: Path, dest: Path) -> Path:
+    """A copy of tree's demo directory in dest whose scenario starts on
+    DST_START; returns its config, which reads the same as the demo's."""
+    shutil.copytree(tree / "demo", dest)
+    scenario = json.loads((dest / "scenario.json").read_text(encoding="utf-8"))
+    scenario["start_date"] = DST_START
+    (dest / "scenario.json").write_text(json.dumps(scenario, indent=1) + "\n", encoding="utf-8")
+    return dest / "config.json"
 
 
 def manifest_entries(manifest: dict) -> dict:
@@ -137,7 +171,10 @@ def main(argv=None) -> int:
     base.mkdir(parents=True)
     extract_tree(args.base, base)
 
-    cases = {"demo": (base / "demo" / "config.json", ROOT / "demo" / "config.json")}
+    cases = {
+        "demo": (base / "demo" / "config.json", ROOT / "demo" / "config.json"),
+        "dst": (dst_config(base, WORK / "dst" / "base"), dst_config(ROOT, WORK / "dst" / "change")),
+    }
     for workload in (w["name"] for w in json.loads((base / "BENCHMARK.json").read_text())["workloads"]):
         inputs = WORK / "inputs" / workload
         subprocess.run([sys.executable, str(base / "perfbench" / "workloads.py"), "--workload", workload,
@@ -163,6 +200,8 @@ def main(argv=None) -> int:
             expected = is_expected(case, name, args.expect_change)
             unexpected += not expected
             print(f"  {name} ({'expected' if expected else 'UNEXPECTED'}): {text}")
+            if (outs[0] / name).is_file() and (outs[1] / name).is_file():  # an artifact in both runs
+                print(f"    {record_differences(outs[0] / name, outs[1] / name)}")
     shutil.rmtree(WORK, ignore_errors=True)
     return 1 if unexpected else 0
 
