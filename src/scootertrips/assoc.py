@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DanglingPoiReference, EmptyCatalog
+from .errors import PipelineError
 from .geo import SpatialIndex, build_spatial_index, nearest_k_batch
 from .poi.catalog import Poi
 from .trips import ASSOC_CSV, TripTable, read_table_csv, write_table_csv
@@ -45,7 +45,7 @@ def associate(trips: TripTable, index: SpatialIndex) -> TripTable:
     """
     n = len(index)
     if n == 0:
-        raise EmptyCatalog("cannot associate trips against an empty catalog")
+        raise PipelineError("cannot associate trips against an empty catalog")
     o_rows, o_dist = nearest_k_batch(index, trips.origin_lat, trips.origin_lon, k=2)
     d_rows, d_dist = nearest_k_batch(index, trips.dest_lat, trips.dest_lon, k=1)
     reassigned = o_rows[:, 0] == d_rows[:, 0] if n > 1 else np.zeros(len(trips), dtype=bool)
@@ -71,7 +71,7 @@ def referenced_pois(trips: TripTable, codes: np.ndarray, catalog: Sequence[Poi])
     for code in np.unique(codes).tolist():
         poi = by_id.get(trips.poi_ids[code])
         if poi is None or poi.group is None:
-            raise DanglingPoiReference(f"trip references POI {trips.poi_ids[code]!r} with no catalog group")
+            raise PipelineError(f"trip references POI {trips.poi_ids[code]!r} with no catalog group")
         out[code] = poi
     return out
 
@@ -82,7 +82,7 @@ def group_codes(trips: TripTable, codes: np.ndarray, catalog: Sequence[Poi], gro
     lut = np.zeros(len(trips.poi_ids), dtype=np.int64)
     for code, poi in referenced_pois(trips, codes, catalog).items():
         if poi.group not in pos:
-            raise DanglingPoiReference(f"POI {poi.id!r} has group {poi.group!r}, which is not one of {list(groups)}")
+            raise PipelineError(f"POI {poi.id!r} has group {poi.group!r}, which is not one of {list(groups)}")
         lut[code] = pos[poi.group]
     return lut[codes]
 
@@ -94,12 +94,11 @@ def sensitivity(
     catalog: Sequence[Poi],
     groups: Sequence[str],
 ) -> SensitivityTable:
-    """Cumulative trip counts per POI group as the distance threshold grows."""
+    """Cumulative trip counts per POI group as the distance threshold grows;
+    thresholds ascend from 0 or more, as parse_thresholds gives them."""
     if endpoint not in ("origin", "destination"):
         raise ValueError(f"endpoint must be origin or destination, got {endpoint!r}")
     thresholds = [float(t) for t in thresholds]
-    if any(t < 0 for t in thresholds) or sorted(thresholds) != thresholds:
-        raise ValueError("thresholds must be ascending and non-negative")
     if endpoint == "origin":
         pois, dist = associated.origin_poi, associated.origin_dist
     else:
@@ -120,8 +119,6 @@ def sensitivity(
 
 def apply_threshold(associated: TripTable, cutoff_m: float = 50.0) -> TripTable:
     """Keep trips whose origin and destination are both associated at cutoff_m or less."""
-    if cutoff_m < 0:
-        raise ValueError("cutoff_m must be >= 0")
     return associated.take((associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m))
 
 

@@ -127,8 +127,8 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{where}: the root is not an object")
     version = raw.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise InvalidConfig(f"unsupported config version {version}; this build reads version {CONFIG_VERSION}")
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise InvalidConfig(f"{where}: unsupported version {version!r}; it must be the integer {CONFIG_VERSION}")
     cfg = decode(PipelineConfig, {key: value for key, value in raw.items() if key != "version"}, where, _CONFIG_PARSE)
     cfg.paths = InputPaths(**{key: p and str(path.parent / p) for key, p in vars(cfg.paths).items()})
     # a kept trip starts in [day_start, day_end); the report puts every one in a time slot
@@ -136,9 +136,11 @@ def load_config(path) -> tuple[PipelineConfig, dict]:
     slots_start = time(*divmod(min(s.start_minute for s in TimeSlot), 60))
     slots_end = time(*divmod(max(s.end_minute for s in TimeSlot), 60))
     if rules.day_start < slots_start:
-        raise InvalidConfig(f"cleaning.day_start {rules.day_start} is before {slots_start}, where the report's time slots begin")
+        raise InvalidConfig(
+            f"{where}: cleaning.day_start {rules.day_start} is before {slots_start}, where the report's time slots begin")
     if rules.day_end > slots_end:
-        raise InvalidConfig(f"cleaning.day_end {rules.day_end} is after {slots_end}, where the report's time slots end")
+        raise InvalidConfig(
+            f"{where}: cleaning.day_end {rules.day_end} is after {slots_end}, where the report's time slots end")
     return cfg, raw
 
 

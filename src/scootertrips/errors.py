@@ -1,7 +1,10 @@
 """Exception types shared across the pipeline.
 
-Every data-level failure derives from PipelineError so the CLI can map it
-to a single exit code; BudgetExhausted gets its own code.
+Every data-level failure is a PipelineError, which the CLI maps to exit
+code 2; BudgetExhausted gets its own code. The subclasses are the failures
+something tells apart: a bad feed or artifact record names its line, a bad
+input value its file and key, and the harvest keeps its partial results on
+a budget or client error.
 """
 
 from __future__ import annotations
@@ -18,29 +21,8 @@ class MalformedRecord(PipelineError):
         self.reason = reason
 
 
-class NonMonotonicTimestamp(PipelineError):
-    """Batch timestamps must be strictly increasing; a violation signals a corrupted capture."""
-
-    def __init__(self, prev, next):  # noqa: A002 - mirrors the (prev, next) pair
-        super().__init__(f"batch timestamp {next} does not advance past {prev}")
-        self.prev = prev
-        self.next = next
-
-
-class InvalidBbox(PipelineError):
-    pass
-
-
 class InvalidConfig(PipelineError):
-    pass
-
-
-class EmptyIndex(PipelineError):
-    pass
-
-
-class EmptyCatalog(PipelineError):
-    pass
+    """An input value out of its range: a config, scenario, taxonomy, POI or truth file."""
 
 
 class BudgetExhausted(PipelineError):
@@ -56,28 +38,6 @@ class ClientError(PipelineError):
         super().__init__(f"places client error: {status} ({'retriable' if retriable else 'fatal'})")
         self.status = status
         self.retriable = retriable
-
-
-class MissingTypes(PipelineError):
-    pass
-
-
-class TargetNotFound(PipelineError):
-    pass
-
-
-class UnmappedPrimaryType(PipelineError):
-    def __init__(self, primary_type: str):
-        super().__init__(f"primary type {primary_type!r} has no group in the taxonomy")
-        self.primary_type = primary_type
-
-
-class OutOfOperatingHours(PipelineError):
-    pass
-
-
-class DanglingPoiReference(PipelineError):
-    pass
 
 
 class UsageError(Exception):

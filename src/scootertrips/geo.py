@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyIndex, InvalidBbox
+from .errors import InvalidConfig
 from .jsonio import held_as
 from .kernels import EARTH_RADIUS_M, haversine_arrays
 
@@ -43,9 +43,9 @@ class Bbox:
 
     def __post_init__(self):
         if not (is_valid_point(*self.min) and is_valid_point(*self.max)):
-            raise InvalidBbox(f"bbox corners out of range: {self.min}, {self.max}")
+            raise InvalidConfig(f"bbox corners out of range: {self.min}, {self.max}")
         if not (self.min.lat < self.max.lat and self.min.lon < self.max.lon):
-            raise InvalidBbox(f"bbox min must be strictly below max componentwise: {self.min}, {self.max}")
+            raise InvalidConfig(f"bbox min must be strictly below max componentwise: {self.min}, {self.max}")
 
     def contains(self, lat: float, lon: float) -> bool:
         return self.min.lat <= lat <= self.max.lat and self.min.lon <= lon <= self.max.lon
@@ -74,9 +74,7 @@ def to_cartesian_array(lats, lons) -> np.ndarray:
 
 
 def offset_azimuthal(center: GeoPoint, bearing_deg: float, radius_m: float) -> GeoPoint:
-    """Destination point at the given bearing (degrees clockwise from north) and distance."""
-    if radius_m < 0:
-        raise ValueError("radius_m must be >= 0")
+    """Destination point at the given bearing (degrees clockwise from north) and distance radius_m >= 0."""
     if radius_m == 0:
         return center
     theta = math.radians(bearing_deg % 360.0)
@@ -139,8 +137,6 @@ def subdivide_cell(cell: GridCell) -> list[GridCell]:
 
 def make_grid(bbox: Bbox, rows: int, cols: int) -> GridSpec:
     """Uniform lat/lon subdivision of bbox into rows x cols query cells."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
     lat_edges = np.linspace(bbox.min.lat, bbox.max.lat, rows + 1).tolist()
     lon_edges = np.linspace(bbox.min.lon, bbox.max.lon, cols + 1).tolist()
     cells = tuple(
@@ -159,7 +155,7 @@ class SpatialIndex:
         self.lats = np.asarray(lats, dtype=np.float64)
         self.lons = np.asarray(lons, dtype=np.float64)
         self.xyz = to_cartesian_array(self.lats, self.lons)
-        self.tree = cKDTree(self.xyz) if len(ids) else None
+        self.tree = cKDTree(self.xyz)
         # rank[i] is the place of ids[i] in sorted id order: the tie-break key
         self.rank = np.empty(len(self.ids), dtype=np.int64)
         self.rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = np.arange(len(self.ids))
@@ -186,12 +182,9 @@ def nearest_k_batch(index: SpatialIndex, lats, lons, k: int) -> tuple[np.ndarray
     twice as many, so every point tied at the k-th place gets scored.
     Queries run QUERY_BLOCK at a time, which bounds the candidate temporaries.
     """
-    n = len(index)
-    if n == 0:
-        raise EmptyIndex("cannot query an empty spatial index")
     if k < 1:
         raise ValueError("k must be >= 1")
-    k = min(k, n)
+    k = min(k, len(index))
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     m = lats.shape[0]

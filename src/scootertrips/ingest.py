@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import MalformedRecord, NonMonotonicTimestamp
+from .errors import MalformedRecord
 from .geo import GeoPoint, is_valid_point
 
 log = logging.getLogger(__name__)
@@ -243,9 +243,10 @@ class _BatchBuilder:
         )
 
 
-def _check_monotonic(prev: datetime | None, ts: datetime) -> None:
+def _check_monotonic(prev: datetime | None, ts: datetime, line_no: int) -> None:
+    """Batch timestamps must strictly increase; a violation signals a corrupted capture."""
     if prev is not None and ts <= prev:
-        raise NonMonotonicTimestamp(format_ts(prev), format_ts(ts))
+        raise MalformedRecord(line_no, f"batch timestamp {format_ts(ts)} does not advance past {format_ts(prev)}")
 
 
 def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, tuple, tuple]:
@@ -276,7 +277,7 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         if not isinstance(obj, dict) or "ts" not in obj or "scooters" not in obj:
             raise MalformedRecord(line_no, "expected object with 'ts' and 'scooters'")
         ts = parse_ts(obj["ts"], line_no)
-        _check_monotonic(prev, ts)
+        _check_monotonic(prev, ts, line_no)
         prev = ts
         scooters = obj["scooters"]
         if not isinstance(scooters, list):
@@ -298,13 +299,16 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
     current_raw_ts: str | None = None
     rows: list[list[str]] = []
     line_nos: list[int] = []  # the line where each row ends
+    first = True  # the first row that is not blank may be the header
     try:
         for row in reader:
             line_no = reader.line_num
             if not row:
                 continue
-            if line_no == 1 and row[0].strip().lower() == "ts":
-                continue  # header
+            if first:
+                first = False
+                if row[0].strip().lower() == "ts":
+                    continue
             if len(row) != 4:
                 _check_records((r[1:] for r in rows), line_nos)  # a bad row before it is reported first
                 raise MalformedRecord(line_no, f"expected 4 columns, got {len(row)}")
@@ -313,7 +317,7 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
                 if current_ts is not None:
                     yield builder.build(current_ts, *_csv_columns(rows), line_nos)
                 ts = parse_ts(raw_ts, line_no)
-                _check_monotonic(prev, ts)
+                _check_monotonic(prev, ts, line_no)
                 prev = ts
                 current_ts = ts
                 current_raw_ts = raw_ts
@@ -331,9 +335,9 @@ def _parse_csv(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
 def parse_snapshot_stream(source, format: str = "jsonl") -> SnapshotStream:
     """Lazily parse a feed into SnapshotBatch values.
 
-    source may be a path or an open text file. Raises MalformedRecord for
-    undecodable records and NonMonotonicTimestamp when batch timestamps do
-    not strictly increase.
+    source may be a path or an open text file. Raises MalformedRecord, at
+    its line, for an undecodable record or a batch timestamp that does not
+    strictly increase.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown feed format {format!r}; expected one of {FORMATS}")

@@ -54,8 +54,8 @@ def decode(hint, value, where: str, parse: dict = {}, path: str = ""):
     object with a key per field (a held_as field: its keys); a field with a default may be
     left out. Any other value must have the JSON type hint gives, and keeps it: no number
     is converted; a list becomes a tuple or NamedTuple where hint is one. A missing or
-    unknown key, another type or a parse function's error raises InvalidConfig naming
-    where and the path.
+    unknown key, another type, a parse function's error or a dataclass's own range check
+    (an InvalidConfig its __post_init__ raises) raises InvalidConfig naming where and the path.
     """
     if path in parse:
         try:
@@ -87,7 +87,10 @@ def decode(hint, value, where: str, parse: dict = {}, path: str = ""):
                 if keys[0] in value:  # else the default
                     field_value = value[name] if len(keys) == 1 else tuple(value[k] for k in keys)
                     kwargs[name] = decode(field_hint, field_value, where, parse, prefix + "/".join(keys))
-            return hint(**kwargs)
+            try:
+                return hint(**kwargs)
+            except InvalidConfig as exc:  # a range check of the dataclass's __post_init__
+                raise InvalidConfig(f"{where}: {path + ': ' if path else ''}{exc}") from None
         want = "an object"
     elif hasattr(hint, "_fields"):  # a NamedTuple, held as a list
         types = list(_hints(hint).values())

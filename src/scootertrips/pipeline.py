@@ -80,13 +80,6 @@ ASSOC = "assoc.csv"
 WITHIN = "assoc_within_cutoff.csv"
 
 
-class StageFailure(PipelineError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -371,7 +364,7 @@ def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
         if isinstance(exc, BudgetExhausted):
             raise  # keeps its dedicated exit code
         if isinstance(exc, PipelineError):
-            raise StageFailure(stage, exc) from exc
+            raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
         raise
     write_json(manifest.to_dict(), out_dir / "manifest.json")
     return manifest

@@ -9,8 +9,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..errors import InvalidConfig, MissingTypes, TargetNotFound, UnmappedPrimaryType
-from ..geo import GeoPoint, offset_azimuthal
+from ..errors import InvalidConfig, PipelineError
+from ..geo import GeoPoint, is_valid_point, offset_azimuthal
 from ..jsonio import decode, encode, held_as, read_json, write_json
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ class GroupTaxonomy:
         try:
             return self.mapping[primary_type]
         except KeyError:
-            raise UnmappedPrimaryType(primary_type) from None
+            raise InvalidConfig(f"primary type {primary_type!r} has no group in the taxonomy") from None
 
 
 @dataclass
@@ -110,7 +110,7 @@ def assign_primary(raw: RawPoi) -> Poi:
             types = (primary,) + tuple(t for t in types if t != primary)
     else:
         if not types:
-            raise MissingTypes(f"nearby result {raw.place_id!r} has no predefined types")
+            raise PipelineError(f"nearby result {raw.place_id!r} has no predefined types")
         primary = types[0]
     return Poi(
         id=raw.place_id,
@@ -141,6 +141,10 @@ class ManualEntry:
     lat: float
     lon: float
     primary_type: str
+
+    def __post_init__(self):
+        if not is_valid_point(self.lat, self.lon):
+            raise InvalidConfig(f"lat/lon ({self.lat}, {self.lon}) is not a point on the globe")
 
 
 def add_manual_pois(catalog: Sequence[Poi], entries: Iterable[ManualEntry]) -> list[Poi]:
@@ -184,6 +188,8 @@ class BufferRing:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidConfig(f"a buffer ring needs count >= 1, got {self.count}")
+        if self.radius_m < 0:
+            raise InvalidConfig(f"a buffer ring needs radius_m >= 0, got {self.radius_m}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ def generate_buffers(catalog: Sequence[Poi], specs: Iterable[BufferSpec]) -> lis
     for spec in specs:
         targets = _select_targets(catalog, spec.selector)
         if not targets:
-            raise TargetNotFound(f"buffer selector {spec.selector!r} matched no POI")
+            raise InvalidConfig(f"buffer selector {spec.selector!r} matched no POI")
         rings = [(spec, 0.0)]  # (ring, bearing of its first point)
         if spec.ring2:
             rings.append((spec.ring2, 360.0 / (2 * spec.ring2.count)))
@@ -372,10 +378,15 @@ def normalize_catalog(
 
 
 def _load(cls, path) -> list:
-    """The cls records of a JSON list of encoded records; another root or a
-    record that decode rejects raises InvalidConfig naming the file and record."""
+    """The cls records of a JSON list of encoded records; another root, a
+    record that decode rejects or a position off the globe raises
+    InvalidConfig naming the file and record."""
     items = decode(list, read_json(path, "POIs"), f"POIs {path}")
-    return [decode(cls, obj, f"{path} record {i}") for i, obj in enumerate(items)]
+    records = [decode(cls, obj, f"{path} record {i}") for i, obj in enumerate(items)]
+    for i, record in enumerate(records):
+        if not is_valid_point(*record.position):
+            raise InvalidConfig(f"{path} record {i}: lat/lon {tuple(record.position)} is not a point on the globe")
+    return records
 
 
 def save_catalog(catalog: Sequence[Poi], path) -> None:

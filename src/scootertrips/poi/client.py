@@ -177,9 +177,8 @@ def harvest(client, grid: GridSpec, plan: Sequence[QueryPlanEntry], budget: Quer
 
 
 def select_low_density_cells(grid: GridSpec, pois: Sequence[RawPoi], fraction: float = 0.25) -> list[int]:
-    """Indices of the lowest-POI-density grid cells (ties break by cell index)."""
-    if not 0 < fraction <= 1:
-        raise InvalidConfig(f"fraction must be in (0, 1], got {fraction}")
+    """Indices of the lowest-POI-density grid cells, the lowest fraction in (0, 1]
+    of them and at least one (ties break by cell index)."""
     counts = [0] * len(grid.cells)
     for p in pois:
         if grid.bbox.contains(p.position.lat, p.position.lon):

@@ -14,7 +14,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .assoc import group_codes, referenced_pois
-from .errors import OutOfOperatingHours
+from .errors import PipelineError
 from .poi.catalog import Poi
 from .trips import DEFAULT_TIMEZONE, TripTable, local_fields
 
@@ -53,7 +53,7 @@ def slot_predicate(slot: TimeSlot, tz_name: str = DEFAULT_TIMEZONE) -> Callable[
         outside = (minutes < TimeSlot.MORNING.start_minute) | (minutes >= TimeSlot.NIGHT.end_minute)
         if outside.any():
             ts = datetime.fromtimestamp(int(trips.start[np.argmax(outside)]), ZoneInfo(tz_name))
-            raise OutOfOperatingHours(f"{ts.isoformat()} is outside the 07:00-21:00 operating window")
+            raise PipelineError(f"{ts.isoformat()} is outside the 07:00-21:00 operating window")
         return (minutes >= slot.start_minute) & (minutes < slot.end_minute)
 
     return in_slot

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_REGION, check_timezone
 from .errors import InvalidConfig
-from .geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
+from .geo import Bbox, GeoPoint, haversine_m, is_valid_point, offset_azimuthal
 from .ingest import SnapshotBatch, write_jsonl
 from .jsonio import decode, encode, held_as, read_json, write_json
 from .purpose import TimeSlot
@@ -56,9 +56,18 @@ class ScenarioConfig:
             raise InvalidConfig("fleet_size and days must be >= 1")
         if not 0 < self.displacement_min_m < self.displacement_max_m:
             raise InvalidConfig("displacement bounds must satisfy 0 < min < max")
+        for name in ("rng_seed", "anchor_jitter_m", "position_jitter_m"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} {getattr(self, name)} must be >= 0")
         unknown = set(self.trip_rates) - set(SLOT_WINDOWS)
         if unknown:
             raise InvalidConfig(f"unknown trip-rate slots: {sorted(unknown)}")
+        negative = {slot: rate for slot, rate in self.trip_rates.items() if rate < 0}
+        if negative:
+            raise InvalidConfig(f"trip_rates {negative} must be >= 0")
+        off_globe = [tuple(a) for a in self.anchors or () if not is_valid_point(*a)]
+        if off_globe:
+            raise InvalidConfig(f"anchors {off_globe} are not points on the globe")
         check_timezone(self.timezone, "scenario timezone")
 
     @classmethod
@@ -271,6 +280,11 @@ class _TruthFile:
     trips: list[TruthTrip]
     cadence_s: int = 600
     timezone: str = DEFAULT_TIMEZONE
+
+    def __post_init__(self):
+        if self.cadence_s <= 0:
+            raise InvalidConfig(f"cadence_s {self.cadence_s} must be positive")
+        check_timezone(self.timezone)
 
 
 def load_truth(path) -> tuple[list[TruthTrip], int, str]:

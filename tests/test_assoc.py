@@ -11,7 +11,7 @@ from scootertrips.assoc import (
     sensitivity,
     write_associated_csv,
 )
-from scootertrips.errors import EmptyCatalog
+from scootertrips.errors import PipelineError
 from scootertrips.geo import GeoPoint, build_spatial_index, haversine_m, offset_azimuthal
 from scootertrips import trips as trips_module
 from scootertrips.poi.catalog import Poi
@@ -91,7 +91,7 @@ class TestAssociate:
         assert (at.origin_poi, at.dest_poi, at.origin_reassigned) == ("P02", "P01", True)
 
     def test_empty_catalog(self):
-        with pytest.raises(EmptyCatalog):
+        with pytest.raises(PipelineError, match="cannot associate trips against an empty catalog"):
             associate(table_of([make_trip()]), build_spatial_index([]))
 
     def test_matches_brute_force_oracle(self):

@@ -18,6 +18,7 @@ from scootertrips.poi.client import canonical_query
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo"
+DATA = REPO / "src" / "scootertrips" / "data"
 STAGES = ("simulate", "extract", "harvest", "normalize", "associate", "sensitivity", "report")
 
 
@@ -304,29 +305,58 @@ def test_config_rejects_a_second_timezone(tmp_path):
             load_config(path)
 
 
-def bad_scenario(tmp_path) -> dict:
-    return {"paths": {"scenario": str(write_scenario(tmp_path, fleet=8))}}
+def scenario_with(**values):
+    """Overrides naming a test scenario with values set."""
+    return lambda tmp_path: {"paths": {"scenario": str(write_scenario(tmp_path, **values))}}
 
 
-def speed_scenario(key: str):
-    """Overrides naming a scenario that sets key, a speed bound scenarios no longer have."""
-    return lambda tmp_path: {"paths": {"scenario": str(write_scenario(tmp_path, **{key: 3.0}))}}
+def data_file(name: str, edit):
+    """Overrides naming, besides the demo inputs, a copy of the bundled data
+    file name with edit applied (or edit's text)."""
+    def overrides(tmp_path):
+        path = tmp_path / name
+        if isinstance(edit, str):
+            path.write_text(edit)
+        else:
+            obj = json.loads((DATA / name).read_text())
+            edit(obj)
+            path.write_text(json.dumps(obj))
+        paths = {k: str(DEMO / v) for k, v in json.loads((DEMO / "config.json").read_text())["paths"].items()}
+        return {"paths": {**paths, name.removesuffix(".json"): str(path)}}
+    return overrides
 
 
-@pytest.mark.parametrize("overrides, key", [
-    ({"bbox": "a,b,c,d"}, "bbox"),
-    ({"bbox": {"min_lat": 33.7, "max_lat": 33.8, "max_lon": -84.3}}, "bbox"),
-    ({"thresholds": "a:b:c"}, "thresholds"),
-    ({"cleaning": {"day_start": "7am"}}, "cleaning.day_start"),
-    ({"cleaning": {"day_start": "06:30"}}, "cleaning.day_start"),
-    ({"cleaning": {"day_end": "22:00"}}, "cleaning.day_end"),
-    (bad_scenario, "fleet"),
-    ({"timezone": "Mars/Base"}, "Mars/Base"),
-    (speed_scenario("speed_min_mps"), "unknown keys ['speed_min_mps']"),
-    (speed_scenario("speed_max_mps"), "unknown keys ['speed_max_mps']"),
+@pytest.mark.parametrize("overrides, key, unwritten", [
+    ({"bbox": "a,b,c,d"}, "bbox", "feed.jsonl"),
+    ({"bbox": {"min_lat": 33.7, "max_lat": 33.8, "max_lon": -84.3}}, "bbox", "feed.jsonl"),
+    ({"thresholds": "a:b:c"}, "thresholds", "feed.jsonl"),
+    ({"cleaning": {"day_start": "7am"}}, "cleaning.day_start", "feed.jsonl"),
+    ({"cleaning": {"day_start": "06:30"}}, "config.json: cleaning.day_start", "feed.jsonl"),
+    ({"cleaning": {"day_end": "22:00"}}, "config.json: cleaning.day_end", "feed.jsonl"),
+    (scenario_with(fleet=8), "fleet", "feed.jsonl"),
+    ({"timezone": "Mars/Base"}, "Mars/Base", "feed.jsonl"),
+    (scenario_with(speed_min_mps=3.0), "unknown keys ['speed_min_mps']", "feed.jsonl"),
+    (scenario_with(speed_max_mps=3.0), "unknown keys ['speed_max_mps']", "feed.jsonl"),
+    ({"version": "1"}, "config.json: unsupported version '1'; it must be the integer 1", "feed.jsonl"),
+    (scenario_with(rng_seed=-1), "scenario.json: rng_seed -1 must be >= 0", "feed.jsonl"),
+    (scenario_with(anchor_jitter_m=-5.0), "scenario.json: anchor_jitter_m -5.0 must be >= 0", "feed.jsonl"),
+    (scenario_with(position_jitter_m=-3.0), "scenario.json: position_jitter_m -3.0 must be >= 0", "feed.jsonl"),
+    (scenario_with(trip_rates={"lunch": 1.0, "evening": -0.5}), "scenario.json: trip_rates {'evening': -0.5}",
+     "feed.jsonl"),
+    (scenario_with(anchors=[[33.757, -84.396], [95.0, -84.388]]), "scenario.json: anchors [(95.0, -84.388)]",
+     "feed.jsonl"),
+    (data_file("buffers.json", lambda b: b["specs"][0].update(radius_m=-90)),
+     "buffers.json: specs[0]: a buffer ring needs radius_m >= 0, got -90", "catalog.json"),
+    (data_file("buffers.json", lambda b: b["specs"][3]["ring2"].update(radius_m=-290)),
+     "buffers.json: specs[3].ring2: a buffer ring needs radius_m >= 0, got -290", "catalog.json"),
+    (data_file("manual_pois.json", lambda m: m["entries"][1].update(lat=95.0)),
+     "manual_pois.json: entries[1]: lat/lon (95.0, -84.3852) is not a point on the globe", "catalog.json"),
 ], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "day-start-before-slots", "day-end-after-slots",
-        "scenario-key", "timezone", "scenario-speed-min", "scenario-speed-max"])
-def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key):
+        "scenario-key", "timezone", "scenario-speed-min", "scenario-speed-max", "version-text",
+        "scenario-negative-seed", "scenario-negative-anchor-jitter", "scenario-negative-position-jitter",
+        "scenario-negative-trip-rate", "scenario-anchor-off-globe", "buffer-negative-radius",
+        "buffer-ring2-negative-radius", "manual-poi-off-globe"])
+def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key, unwritten):
     if callable(overrides):
         overrides = overrides(tmp_path)
     out = tmp_path / "out"
@@ -334,7 +364,7 @@ def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert "unexpected error" not in err
     assert key in err
-    assert not (out / "feed.jsonl").exists()  # rejected before the simulate stage wrote anything
+    assert not (out / unwritten).exists()  # rejected before the stage that reads the bad value wrote anything
 
 
 @pytest.fixture(scope="module")
@@ -425,24 +455,13 @@ def test_score_needs_a_trips_csv(demo_run, capsys, caplog):
     assert "header column 9 is 'origin_poi'" in capsys.readouterr().err and "Traceback" not in caplog.text
 
 
-DATA = REPO / "src" / "scootertrips" / "data"
-
-
 def bad_data_file(name: str, edit):
     """The bundled data file name with edit applied (or replaced by edit's
     text), read by the stage that reads it."""
     def setup(tmp_path, out):
-        path = tmp_path / name
-        if isinstance(edit, str):
-            path.write_text(edit)
-        else:
-            obj = json.loads((DATA / name).read_text())
-            edit(obj)
-            path.write_text(json.dumps(obj))
-        key = name.removesuffix(".json")
-        paths = {k: str(DEMO / v) for k, v in json.loads((DEMO / "config.json").read_text())["paths"].items()}
-        config = write_config(tmp_path, paths={**paths, key: str(path)})
-        return ["harvest" if key == "plan" else "normalize", "--config", str(config), "--out-dir", str(out)]
+        config = write_config(tmp_path, **data_file(name, edit)(tmp_path))
+        stage_name = "harvest" if name == "plan.json" else "normalize"
+        return [stage_name, "--config", str(config), "--out-dir", str(out)]
     return setup
 
 
@@ -462,9 +481,11 @@ def bad_catalog(edit):
     return setup
 
 
-def truth_without_trips(tmp_path, out):
-    rewrite_json(out / "truth.json", lambda truth: truth.pop("trips"))
-    return ["score", "--truth", str(out / "truth.json"), "--extracted", str(out / "trips.csv")]
+def bad_truth(edit):
+    def setup(tmp_path, out):
+        rewrite_json(out / "truth.json", edit)
+        return ["score", "--truth", str(out / "truth.json"), "--extracted", str(out / "trips.csv")]
+    return setup
 
 
 @pytest.mark.parametrize("setup, words", [
@@ -476,7 +497,7 @@ def truth_without_trips(tmp_path, out):
     (bad_data_file("manual_pois.json", lambda m: m["entries"][2].pop("lat")), ["manual_pois.json", "entries[2].lat"]),
     (bad_data_file("plan.json", lambda p: p["queries"][3].pop("term")), ["plan.json", "queries[3].term"]),
     (bad_config(lambda text: text.replace(b'"cutoff_m"', b'"cutoff\xff_m"')), ["config.json is not JSON", "0xff"]),
-    (truth_without_trips, ["truth.json", "missing keys ['trips']"]),
+    (bad_truth(lambda truth: truth.pop("trips")), ["truth.json", "missing keys ['trips']"]),
     (bad_catalog(lambda records: records[3].update(predefined_types=5)), ["catalog.json record 3", "predefined_types 5"]),
     (bad_config(cutof_m=5), ["config.json", "unknown keys ['cutof_m']"]),
     (bad_config(densify="false"), ["config.json", "densify 'false'"]),
@@ -484,10 +505,17 @@ def truth_without_trips(tmp_path, out):
     (bad_config(cutoff_m=True), ["config.json", "cutoff_m True"]),
     (bad_config(cleaning={"day_strat": "07:00"}), ["config.json", "unknown keys ['cleaning.day_strat']"]),
     (bad_catalog(lambda records: records[2].update(name=7)), ["catalog.json record 2", "name 7"]),
+    (bad_truth(lambda truth: truth.update(cadence_s=0)), ["truth.json: cadence_s 0 must be positive"]),
+    (bad_truth(lambda truth: truth.update(cadence_s=-600)), ["truth.json: cadence_s -600 must be positive"]),
+    (bad_truth(lambda truth: truth.update(timezone="Mars/Base")),
+     ["truth.json: timezone 'Mars/Base' is not a known IANA time zone"]),
+    (bad_catalog(lambda records: records[0].update(lat=95.0)),
+     ["catalog.json record 0: lat/lon (95.0, ", "is not a point on the globe"]),
 ], ids=["taxonomy-no-groups", "taxonomy-groups-number", "taxonomy-not-json", "buffer-count-text", "buffers-no-specs",
         "manual-no-lat", "plan-no-term", "config-not-utf8", "truth-no-trips", "catalog-types-number",
         "config-unknown-key", "config-densify-text", "config-rows-fraction", "config-cutoff-bool",
-        "config-cleaning-unknown-key", "catalog-name-number"])
+        "config-cleaning-unknown-key", "catalog-name-number", "truth-cadence-zero", "truth-cadence-negative",
+        "truth-zone-unknown", "catalog-lat-off-globe"])
 def test_bad_input_file_is_a_data_error(demo_run, tmp_path, capsys, caplog, setup, words):
     out = tmp_path / "out"
     shutil.copytree(demo_run, out)
@@ -514,7 +542,9 @@ def test_report_rejects_bad_drill_spec(demo_run, tmp_path, capsys, caplog, spec)
         shutil.copy(demo_run / name, out / name)
     config = write_config(tmp_path, drilldowns=["Business:Business", spec])
     assert stage("report", config, out) == EXIT_DATA
-    assert capsys.readouterr().err.startswith(f"error: drilldown {spec!r}")
+    # a spec of the wrong form is rejected as the config is read, one off the taxonomy by the report
+    where = "" if ":" in spec else f"config {config}: "
+    assert capsys.readouterr().err.startswith(f"error: {where}drilldown {spec!r}")
     assert "Traceback" not in caplog.text
     # checked before anything is written
     assert sorted(p.name for p in out.iterdir()) == ["assoc_within_cutoff.csv", "catalog.json"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scootertrips.errors import InvalidBbox, MalformedRecord, NonMonotonicTimestamp
+from scootertrips.errors import InvalidConfig, MalformedRecord
 from scootertrips.geo import Bbox, GeoPoint
 from scootertrips.ingest import (
     IngestStats,
@@ -18,6 +18,9 @@ from scootertrips.ingest import (
 from scootertrips.trips import extract_trips
 
 from conftest import batch, feed_text, obs, rows
+
+
+ADVANCE = "batch timestamp {} does not advance past {}"
 
 
 def parse_all(text: str, format: str = "jsonl"):
@@ -77,14 +80,16 @@ class TestJsonl:
             json.dumps({"ts": ts, "scooters": []})
             for ts in ("2019-02-02T12:00:00Z", "2019-02-02T11:50:00Z")
         )
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(MalformedRecord,
+                           match="at line 2: " + ADVANCE.format("2019-02-02T11:50:00Z", "2019-02-02T12:00:00Z")):
             parse_all(lines)
 
     def test_equal_timestamps_fatal(self):
         lines = "\n".join(
             json.dumps({"ts": "2019-02-02T12:00:00Z", "scooters": []}) for _ in range(2)
         )
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(MalformedRecord,
+                           match="at line 2: " + ADVANCE.format("2019-02-02T12:00:00Z", "2019-02-02T12:00:00Z")):
             parse_all(lines)
 
     def test_malformed_json_carries_line_number(self):
@@ -123,6 +128,10 @@ class TestCsv:
         assert [len(b.observations) for b in batches] == [2, 1]
         assert stats.batches == 2
 
+    def test_header_after_blank_lines(self):
+        batches, stats = parse_all("\nts,id,lat,lon\n2019-02-02T12:00:00Z,a,33.7,-84.3\n", format="csv")
+        assert [b.ids for b in batches] == [["a"]] and stats.retained == 1
+
     def test_empty_id_counts_as_null(self):
         text = "ts,id,lat,lon\n2019-02-02T12:00:00Z,,33.77,-84.39\n"
         batches, stats = parse_all(text, format="csv")
@@ -135,7 +144,8 @@ class TestCsv:
             "2019-02-02T12:00:00Z,a,33.77,-84.39\n"
             "2019-02-02T11:50:00Z,a,33.77,-84.39\n"
         )
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(MalformedRecord,
+                           match="at line 3: " + ADVANCE.format("2019-02-02T11:50:00Z", "2019-02-02T12:00:00Z")):
             parse_all(text, format="csv")
 
     def test_csv_repeated_ts_after_advancing_is_fatal(self):
@@ -146,13 +156,14 @@ class TestCsv:
             "2019-02-02T12:10:00Z,a,33.77,-84.39\n"
             "2019-02-02T12:00:00Z,b,33.77,-84.39\n"
         )
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(MalformedRecord,
+                           match="at line 4: " + ADVANCE.format("2019-02-02T12:00:00Z", "2019-02-02T12:10:00Z")):
             parse_all(text, format="csv")
 
 
 class TestBboxFilter:
     def test_invalid_bbox_raises(self):
-        with pytest.raises(InvalidBbox):
+        with pytest.raises(InvalidConfig, match="bbox min must be strictly below max componentwise"):
             Bbox(GeoPoint(33.8, -84.4), GeoPoint(33.7, -84.3))
 
 
@@ -289,9 +300,13 @@ MALFORMED = {
             _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T2, [_rec("a", 95.0, -84.3)]), (T0, [])),
             (MalformedRecord, 2, "coordinates out of range (95.0, -84.3)", 1),
         ),
+        "timestamp_that_does_not_advance": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T2, []), (T2, [])),
+            (MalformedRecord, 3, ADVANCE.format(T2, T2), 2),
+        ),
         "non_monotonic_before_bad_row": (
             _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T0, [_rec("a", 99.0, -84.3)])),
-            (NonMonotonicTimestamp, None, None, 1),
+            (MalformedRecord, 2, ADVANCE.format(T0, T1), 1),
         ),
     },
     "csv": {
@@ -326,6 +341,10 @@ MALFORMED = {
         "bad_row_then_non_monotonic": (
             f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n{T1},b,91,-84.3\n{T0},a,33.7,-84.3\n",
             (MalformedRecord, 3, "coordinates out of range (91.0, -84.3)", 0),
+        ),
+        "timestamp_that_does_not_advance": (
+            f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n\n{T2},a,33.7,-84.3\n{T1},b,33.7,-84.3\n",
+            (MalformedRecord, 5, ADVANCE.format(T1, T2), 2),
         ),
         "bad_row_after_blank_line": (
             f"ts,id,lat,lon\n{T1},a,33.7,-84.3\n\n{T1},b,91,-84.3\n",

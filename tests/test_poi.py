@@ -6,9 +6,7 @@ from scootertrips.errors import (
     BudgetExhausted,
     ClientError,
     InvalidConfig,
-    MissingTypes,
-    TargetNotFound,
-    UnmappedPrimaryType,
+    PipelineError,
 )
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, make_grid, offset_azimuthal, subdivide_cell
 from scootertrips.poi.catalog import (
@@ -304,7 +302,7 @@ class TestAssignPrimary:
 
     def test_nearby_without_types_fatal(self):
         raw = RawPoi("p3", "ghost", CITY, (), "", "bar", "nearby")
-        with pytest.raises(MissingTypes):
+        with pytest.raises(PipelineError, match="nearby result 'p3' has no predefined types"):
             assign_primary(raw)
 
 
@@ -387,7 +385,7 @@ class TestBuffers:
             assert haversine_m(parent.position, b.position) == pytest.approx(20.0, rel=1e-3)
 
     def test_missing_target(self):
-        with pytest.raises(TargetNotFound):
+        with pytest.raises(InvalidConfig, match="buffer selector .* matched no POI"):
             generate_buffers([poi("x", CITY, "bar")], [self.spec({"name_contains": "Aquarium"}, 8, 90.0)])
 
 
@@ -478,7 +476,7 @@ class TestGroups:
             groups=tuple(f"G{i}" for i in range(10)),
             mapping={"bar": "G0"},
         )
-        with pytest.raises(UnmappedPrimaryType):
+        with pytest.raises(InvalidConfig, match="primary type 'lawyer' has no group in the taxonomy"):
             assign_groups([poi("x", CITY, "lawyer")], tax)
 
     def test_wrong_group_count_rejected(self):

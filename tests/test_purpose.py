@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scootertrips.config import PipelineConfig
-from scootertrips.errors import DanglingPoiReference, OutOfOperatingHours
+from scootertrips.errors import PipelineError
 from scootertrips.pipeline import write_report
 from scootertrips.poi.catalog import Poi
 from scootertrips.purpose import (
@@ -85,7 +85,7 @@ class TestClassifySlot:
 
     @pytest.mark.parametrize("hh,mm", [(6, 59), (21, 0), (23, 30), (0, 0)])
     def test_outside_hours(self, hh, mm):
-        with pytest.raises(OutOfOperatingHours):
+        with pytest.raises(PipelineError, match="is outside the 07:00-21:00 operating window"):
             classify_slot(datetime(2019, 2, 4, hh, mm))
 
     def test_slots_partition_operating_hours(self):
@@ -134,7 +134,7 @@ class TestBuildMatrix:
         assert m.total == 1000
 
     def test_dangling_poi_reference(self):
-        with pytest.raises(DanglingPoiReference):
+        with pytest.raises(PipelineError, match="trip references POI 'missing' with no catalog group"):
             build_matrix(table_of([assoc("missing", "food1")]), CATALOG, groups=GROUPS)
 
     def test_reversed_corpus_transposes(self):
@@ -244,7 +244,7 @@ def test_matrices_match_per_row_count(trips):
 def test_report_rejects_trip_outside_operating_hours(tmp_path):
     # a wider cleaning window can let a 06:30 start through the cutoff; it has no slot
     within = table_of([assoc("biz1", "food1"), assoc("biz1", "food1", datetime(2019, 2, 4, 6, 30))])
-    with pytest.raises(OutOfOperatingHours, match="06:30"):
+    with pytest.raises(PipelineError, match="06:30:00-05:00 is outside the 07:00-21:00 operating window"):
         write_report(PipelineConfig(timezone="America/New_York", drilldowns=[]), within, CATALOG, tmp_path)
 
 

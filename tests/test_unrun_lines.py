@@ -30,5 +30,5 @@ def test_demo_run_trace_lists_only_what_the_demo_skips():
     assert line_of("geo.py", "class GeoPoint(NamedTuple):") not in prefixes  # import-time lines count
     # its feed is not CSV, no stage fails and `score` is not run
     assert line_of("ingest.py", "builder = _BatchBuilder(stats, _NOT_UTF8)") in prefixes
-    assert line_of("pipeline.py", "raise StageFailure(stage, exc) from exc") in prefixes
+    assert line_of("pipeline.py", 'raise PipelineError(f"stage {stage!r} failed: {exc}") from exc') in prefixes
     assert line_of("synth.py", "report.n_matched += 1") in prefixes
