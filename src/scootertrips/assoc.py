@@ -117,13 +117,21 @@ def sensitivity(
     )
 
 
+def within_cutoff(associated: TripTable, cutoff_m: float) -> np.ndarray:
+    """Mask of the trips whose origin and destination are both associated at cutoff_m or less."""
+    return (associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m)
+
+
 def apply_threshold(associated: TripTable, cutoff_m: float = 50.0) -> TripTable:
-    """Keep trips whose origin and destination are both associated at cutoff_m or less."""
-    return associated.take((associated.origin_dist <= cutoff_m) & (associated.dest_dist <= cutoff_m))
+    """The trips within_cutoff keeps."""
+    return associated.take(within_cutoff(associated, cutoff_m))
 
 
-def write_associated_csv(associated: TripTable, path) -> int:
-    return write_table_csv(associated, path, ASSOC_CSV)
+def write_associated_csv(associated: TripTable, path, within: tuple | None = None) -> int:
+    """Write associated to path; within, a (path, cutoff_m) pair, also
+    writes the trips apply_threshold keeps there, from the same lines."""
+    subset = None if within is None else (within[0], within_cutoff(associated, within[1]))
+    return write_table_csv(associated, path, ASSOC_CSV, subset)
 
 
 def read_associated_csv(path) -> TripTable:

@@ -15,6 +15,12 @@ lie on the globe and whose newly sighted ids are all ASCII is accepted whole.
 Any other batch is walked record by record by an error-only check, which
 raises at the first bad record (its line number and message) exactly as a
 per-record parser would.
+
+JSONL lines are decoded with orjson. json is the reference: a line orjson
+rejects (NaN, Infinity, 1e400, a lone surrogate, a BOM, a byte that is not
+UTF-8), a line whose ids are not all str or None (orjson reads an integer
+beyond 64 bits as a float) and a line that fails any check are decoded again
+by json.loads, so every batch and every error is the one json gives.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import MalformedRecord
 from .geo import GeoPoint, is_valid_point
@@ -41,10 +48,11 @@ FORMATS = ("jsonl", "csv")
 
 _JSON_STR = json.encoder.encode_basestring_ascii  # what json.dumps uses for str
 _JSONL_NULL_RECORD = '{"id":null,"lat":0.0,"lon":0.0}'
-_RECORD_FIELDS = itemgetter("id", "lat", "lon")
+_RECORD_ID, _RECORD_LAT, _RECORD_LON = itemgetter("id"), itemgetter("lat"), itemgetter("lon")
 _STR_OR_NONE = frozenset((str, type(None)))
 _NOT_UTF8 = "a byte that is not UTF-8"
-# a JSONL line passed check_utf8 before json.loads, so a surrogate in its ids is an escape
+# orjson rejects any surrogate and a JSONL line passes check_utf8 before json.loads,
+# so a surrogate in its ids is an escape
 _SURROGATE_ESCAPE = "an id holding a lone surrogate escape"
 
 
@@ -249,18 +257,50 @@ def _check_monotonic(prev: datetime | None, ts: datetime, line_no: int) -> None:
         raise MalformedRecord(line_no, f"batch timestamp {format_ts(ts)} does not advance past {format_ts(prev)}")
 
 
-def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, tuple, tuple]:
+def _jsonl_columns(scooters: list, line_no: int) -> tuple[list, Sequence, Sequence]:
     """(raw ids, lats, lons) of one JSONL batch; a field a record leaves out reads as None."""
-    try:
-        fields = list(map(_RECORD_FIELDS, scooters))
+    try:  # a column at a time: no tuple per record
+        return list(map(_RECORD_ID, scooters)), list(map(_RECORD_LAT, scooters)), list(map(_RECORD_LON, scooters))
     except (KeyError, TypeError):  # a record without a field, or one that is not an object
-        objects = list(takewhile(lambda rec: isinstance(rec, dict), scooters))
-        fields = [(rec.get("id"), rec.get("lat"), rec.get("lon")) for rec in objects]
-        if len(objects) < len(scooters):
-            _check_records(fields, repeat(line_no), _SURROGATE_ESCAPE)  # a bad record before it is reported first
-            raise MalformedRecord(line_no, "scooter record must be an object") from None
+        pass
+    objects = list(takewhile(lambda rec: isinstance(rec, dict), scooters))
+    fields = [(rec.get("id"), rec.get("lat"), rec.get("lon")) for rec in objects]
+    if len(objects) < len(scooters):
+        _check_records(fields, repeat(line_no), _SURROGATE_ESCAPE)  # a bad record before it is reported first
+        raise MalformedRecord(line_no, "scooter record must be an object")
     raw_ids, lats, lons = zip(*fields) if fields else ((), (), ())
     return list(raw_ids), lats, lons
+
+
+def _orjson_object(line: str):
+    """orjson's decoding of a JSONL line when it equals json's: the line
+    decodes and every record's id is str or None. Otherwise None."""
+    try:
+        obj = orjson.loads(line)
+        if _STR_OR_NONE.issuperset(map(type, map(_RECORD_ID, obj["scooters"]))):
+            return obj
+    except (orjson.JSONDecodeError, LookupError, TypeError):  # not JSON to orjson, or not an object of records
+        pass
+    return None
+
+
+def _json_object(line: str, line_no: int):
+    try:
+        return json.loads(check_utf8(line, line_no))
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits to convert
+        raise MalformedRecord(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+
+
+def _jsonl_batch(builder: _BatchBuilder, obj, prev: datetime | None, line_no: int) -> SnapshotBatch:
+    """The batch of one decoded JSONL line; raises MalformedRecord at its first bad field."""
+    if not isinstance(obj, dict) or "ts" not in obj or "scooters" not in obj:
+        raise MalformedRecord(line_no, "expected object with 'ts' and 'scooters'")
+    ts = parse_ts(obj["ts"], line_no)
+    _check_monotonic(prev, ts, line_no)
+    scooters = obj["scooters"]
+    if not isinstance(scooters, list):
+        raise MalformedRecord(line_no, "'scooters' must be a list")
+    return builder.build(ts, *_jsonl_columns(scooters, line_no), repeat(line_no))
 
 
 def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
@@ -270,19 +310,12 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(check_utf8(line, line_no))
-        except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits to convert
-            raise MalformedRecord(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-        if not isinstance(obj, dict) or "ts" not in obj or "scooters" not in obj:
-            raise MalformedRecord(line_no, "expected object with 'ts' and 'scooters'")
-        ts = parse_ts(obj["ts"], line_no)
-        _check_monotonic(prev, ts, line_no)
-        prev = ts
-        scooters = obj["scooters"]
-        if not isinstance(scooters, list):
-            raise MalformedRecord(line_no, "'scooters' must be a list")
-        yield builder.build(ts, *_jsonl_columns(scooters, line_no), repeat(line_no))
+        try:  # a None object fails the first check
+            batch = _jsonl_batch(builder, _orjson_object(line), prev, line_no)
+        except MalformedRecord:  # json's values name the error (the builder changes only on success)
+            batch = _jsonl_batch(builder, _json_object(line, line_no), prev, line_no)
+        prev = batch.ts
+        yield batch
 
 
 def _csv_columns(rows: list[list[str]]) -> tuple[list[str], tuple, tuple]:

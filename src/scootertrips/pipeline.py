@@ -236,8 +236,7 @@ def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult
     associated = associate(region_trips, catalog_index(catalog))
     within = apply_threshold(associated, cfg.cutoff_m)
     paths = [Path(out_dir) / ASSOC, Path(out_dir) / WITHIN]
-    write_associated_csv(associated, paths[0])
-    write_associated_csv(within, paths[1])
+    write_associated_csv(associated, paths[0], within=(paths[1], cfg.cutoff_m))
     stages = {
         "crop": {"in_region": len(region_trips), "removed_outside_region": cropped},
         "associate": {

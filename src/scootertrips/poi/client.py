@@ -52,7 +52,10 @@ class QueryPlanEntry:
 
 
 def load_plan(path) -> list[QueryPlanEntry]:
-    return decode(list[QueryPlanEntry], read_json(path, "plan", "queries"), f"plan {path}", path="queries")
+    plan = decode(list[QueryPlanEntry], read_json(path, "plan", "queries"), f"plan {path}", path="queries")
+    if not plan:
+        raise InvalidConfig(f"plan {path}: queries must hold at least one query")
+    return plan
 
 
 def normalize_query_type(text_query: str) -> str:
@@ -161,8 +164,6 @@ def harvest(client, grid: GridSpec, plan: Sequence[QueryPlanEntry], budget: Quer
     MAX_SUBDIVISION_DEPTH. On budget exhaustion or a client error the
     exception propagates and pois holds every result found so far.
     """
-    if not plan:
-        raise InvalidConfig("harvest plan must not be empty")
     cell_list = grid.cells if cells is None else [grid.cells[i] for i in cells]
     queue: list[tuple[GridCell, QueryPlanEntry, int]] = [(c, e, 0) for c in cell_list for e in plan]
     truncated = 0

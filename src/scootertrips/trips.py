@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from itertools import groupby, zip_longest
+from contextlib import ExitStack
+from itertools import compress, groupby, zip_longest
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, time, timezone
 from typing import Iterable, Sequence
@@ -34,6 +35,7 @@ DEFAULT_TIMEZONE = "America/New_York"
 COLOCATION_EPS_M = 1.0
 # rows a CSV writer formats at once: bounds the text objects it holds (a few MB)
 WRITE_BLOCK = 4096
+_QUOTED = frozenset(',"\r\n')  # a field holding one of these is quoted (csv.QUOTE_MINIMAL, "\r\n" line ends)
 
 # Each CSV column as (header, TripTable field, text kind). "ids" and "poi_ids"
 # columns hold codes written as the strings of that TripTable field; "ts"
@@ -276,7 +278,12 @@ def format_epochs(seconds: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
-def _column_text(table: TripTable, field: str, kind: str) -> list[str]:
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as a field."""
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _column_text(table: TripTable, field: str, kind: str, quoted: dict[str, list[str]]) -> list[str]:
     values = getattr(table, field)
     if kind == "float":
         return list(map(repr, values.tolist()))
@@ -284,18 +291,29 @@ def _column_text(table: TripTable, field: str, kind: str) -> list[str]:
         return format_epochs(values)
     if kind == "bool":
         return np.where(values, "true", "false").tolist()
-    return list(map(getattr(table, kind).__getitem__, values.tolist()))  # codes into ids / poi_ids
+    return list(map(quoted[kind].__getitem__, values.tolist()))  # codes into ids / poi_ids
 
 
-def write_table_csv(table: TripTable, path, schema) -> int:
-    """Write the schema's headers, then the rows of table as text,
-    WRITE_BLOCK rows at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header for header, _, _ in schema])
+def write_table_csv(table: TripTable, path, schema, subset: tuple | None = None) -> int:
+    """Write the schema's headers, then the rows of table, as csv.writer
+    writes them, WRITE_BLOCK rows at a time. subset, a (path, mask) pair,
+    also writes the headers and the lines of the rows mask selects there:
+    each line is formatted once for both files."""
+    outputs = [(path, None)] if subset is None else [(path, None), subset]
+    # each id and POI id is quoted once per table, not once per row
+    quoted = {kind: list(map(_csv_field, getattr(table, kind))) for kind in ("ids", "poi_ids")}
+    with ExitStack() as stack:
+        files = [(stack.enter_context(open(out, "w", encoding="utf-8", newline="")), mask) for out, mask in outputs]
+        for fh, _ in files:
+            fh.write(",".join(header for header, _, _ in schema) + "\r\n")
         for lo in range(0, len(table), WRITE_BLOCK):
             block = table.take(slice(lo, lo + WRITE_BLOCK))
-            writer.writerows(zip(*(_column_text(block, field, kind) for _, field, kind in schema)))
+            lines = list(map(",".join, zip(*(_column_text(block, field, kind, quoted) for _, field, kind in schema))))
+            for fh, mask in files:
+                picked = lines if mask is None else list(compress(lines, mask[lo:lo + WRITE_BLOCK].tolist()))
+                if picked:
+                    fh.write("\r\n".join(picked))
+                    fh.write("\r\n")
     return len(table)
 
 

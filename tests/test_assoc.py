@@ -248,6 +248,24 @@ def test_assoc_csv_round_trip_across_write_blocks(tmp_path, monkeypatch):
     assert path.read_bytes() == (tmp_path / "one_block.csv").read_bytes()
 
 
+def test_assoc_csv_within_is_the_threshold_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(trips_module, "WRITE_BLOCK", 64)
+    # rows 200..400 have both endpoints within 50 m: blocks 3 to 6 hold some of them, blocks 0 to 2 none
+    items = [
+        make_trip(f"S{i % 7}", start_offset_s=600 * i)._replace(
+            origin_poi=f"P{i % 5}", origin_dist_m=i / 8, dest_poi=f"P{i % 3}", dest_dist_m=75 - i / 8,
+        )
+        for i in range(401)
+    ]
+    table = table_of(items)
+    write_associated_csv(table, tmp_path / "assoc.csv", within=(tmp_path / "within.csv", 50.0))
+    write_associated_csv(table, tmp_path / "all.csv")
+    write_associated_csv(apply_threshold(table, 50.0), tmp_path / "threshold.csv")
+    assert (tmp_path / "assoc.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+    assert (tmp_path / "within.csv").read_bytes() == (tmp_path / "threshold.csv").read_bytes()
+    assert len(read_associated_csv(tmp_path / "within.csv")) == 201
+
+
 _EDGES = [0.0, 25.0, 50.0]  # distances drawn on a threshold exercise the inclusive edge
 
 

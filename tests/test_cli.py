@@ -351,11 +351,13 @@ def data_file(name: str, edit):
      "buffers.json: specs[3].ring2: a buffer ring needs radius_m >= 0, got -290", "catalog.json"),
     (data_file("manual_pois.json", lambda m: m["entries"][1].update(lat=95.0)),
      "manual_pois.json: entries[1]: lat/lon (95.0, -84.3852) is not a point on the globe", "catalog.json"),
+    (data_file("plan.json", lambda p: p.update(queries=[])), "plan.json: queries must hold at least one query",
+     "pois_raw.json"),
 ], ids=["bbox-text", "bbox-object", "thresholds", "cleaning-time", "day-start-before-slots", "day-end-after-slots",
         "scenario-key", "timezone", "scenario-speed-min", "scenario-speed-max", "version-text",
         "scenario-negative-seed", "scenario-negative-anchor-jitter", "scenario-negative-position-jitter",
         "scenario-negative-trip-rate", "scenario-anchor-off-globe", "buffer-negative-radius",
-        "buffer-ring2-negative-radius", "manual-poi-off-globe"])
+        "buffer-ring2-negative-radius", "manual-poi-off-globe", "plan-empty"])
 def test_config_errors_exit_cleanly(tmp_path, capsys, overrides, key, unwritten):
     if callable(overrides):
         overrides = overrides(tmp_path)

@@ -308,6 +308,27 @@ MALFORMED = {
             _jsonl((T1, [_rec("a", 33.7, -84.3)]), (T0, [_rec("a", 99.0, -84.3)])),
             (MalformedRecord, 2, ADVANCE.format(T0, T1), 1),
         ),
+        # lines on which orjson and json differ: each error is the one json's values give
+        "overflowing_lat": (
+            '{"ts":"%s","scooters":[{"id":"a","lat":1e400,"lon":-84.3}]}\n' % T1,
+            (MalformedRecord, 1, "coordinates out of range (inf, -84.3)", 0),
+        ),
+        "bom_before_the_object": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)])) + "\ufeff" + _jsonl((T2, [_rec("a", 33.8, -84.3)])),
+            (MalformedRecord, 2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 1),
+        ),
+        "bad_row_after_lines_strip_blanks": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)])) + "\u00a0\n\x1c\n" + _jsonl((T2, [_rec("a", 95.0, -84.3)])),
+            (MalformedRecord, 4, "coordinates out of range (95.0, -84.3)", 1),
+        ),
+        "integer_ts_beyond_64_bits": (
+            '{"ts":123456789012345678901234,"scooters":[]}\n',
+            (MalformedRecord, 1, "bad timestamp 123456789012345678901234", 0),
+        ),
+        "integer_beyond_64_bits_in_a_list_lat": (
+            '{"ts":"%s","scooters":[{"id":"a","lat":[18446744073709551616],"lon":-84.3}]}\n' % T1,
+            (MalformedRecord, 1, "non-numeric coordinates ([18446744073709551616], -84.3)", 0),
+        ),
     },
     "csv": {
         "non_numeric": (
@@ -378,10 +399,46 @@ def test_malformed_feed_reports_first_bad_record(format, text, expected):
 
 
 def test_integer_too_long_to_convert_is_invalid_json():
-    text = '{"ts":"%s","scooters":[{"id":"a","lat":%s,"lon":-84.3}]}\n' % (T1, "1" * 5000)
-    with pytest.raises(MalformedRecord) as err:
-        parse_all(text)
-    assert err.value.line_no == 1 and err.value.reason.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+    for record in ('{"id":"a","lat":%s,"lon":-84.3}', '{"id":%s,"lat":33.7,"lon":-84.3}'):
+        text = '{"ts":"%s","scooters":[%s]}\n' % (T1, record % ("1" * 5000))
+        with pytest.raises(MalformedRecord) as err:
+            parse_all(text)
+        assert err.value.line_no == 1 and err.value.reason.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("digits", ["123456789012345678901234567890", "18446744073709551616", "-9223372036854775809"])
+def test_integer_id_beyond_64_bits_is_its_digits(digits):
+    text = '{"ts":"%s","scooters":[{"id":%s,"lat":33.7,"lon":-84.3},{"id":"b","lat":33.8,"lon":-84.3}]}\n'
+    batches, _ = parse_all(text % (T1, digits))
+    assert batches[0].ids == [digits, "b"]
+
+
+@st.composite
+def json_decimals(draw) -> str:
+    """A JSON number text whose value lies in [-10, 10]: up to 25 integer
+    digits, up to 25 fraction digits and an exponent that scales it down."""
+    lead = draw(st.sampled_from(["0", *"123456789"])) + draw(st.text("0123456789", max_size=24))
+    if lead.startswith("0"):
+        lead = "0"
+    frac = draw(st.text("0123456789", max_size=25))
+    exp = draw(st.integers(-330, 1 - len(lead)))
+    exp_text = draw(st.sampled_from(["", "e", "E"]))
+    if exp_text or exp < 0:
+        exp_text = (exp_text or "e") + (str(exp) if exp < 0 else draw(st.sampled_from(["", "+"])) + str(exp))
+    return draw(st.sampled_from(["", "-"])) + lead + (f".{frac}" if frac else "") + exp_text
+
+
+COORD_TEXT = st.one_of(json_decimals(), st.floats(-90, 90).map(repr))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(lat=COORD_TEXT, lon=COORD_TEXT)
+def test_coordinates_read_as_json_reads_them(lat, lon):
+    # json is the reference decoder; it reads a number text as float() does, but for
+    # integer texts, which it reads as ints (so "-0" is 0.0)
+    batches, _ = parse_all('{"ts":"%s","scooters":[{"id":"a","lat":%s,"lon":%s}]}\n' % (T1, lat, lon))
+    assert repr(batches[0].lat[0].item()) == repr(float(json.loads(lat)))
+    assert repr(batches[0].lon[0].item()) == repr(float(json.loads(lon)))
 
 
 def test_records_the_batch_check_declines_still_parse():

@@ -39,6 +39,7 @@ from scootertrips.poi.client import (
     QueryPlanEntry,
     canonical_query,
     harvest,
+    load_plan,
     query_places,
     select_low_density_cells,
 )
@@ -216,9 +217,10 @@ class TestHarvest:
         assert queries == truncated == 1 + 4 + 16  # depth 0, 1 and 2; the depth-2 quarters are not split
 
     def test_empty_plan_rejected(self, tmp_path):
-        client = fixture_client(tmp_path, {})
-        with pytest.raises(InvalidConfig):
-            harvest(client, make_grid(BBOX, 2, 2), [], QueryBudget(10), [])
+        path = tmp_path / "plan.json"
+        path.write_text('{"queries": []}')
+        with pytest.raises(InvalidConfig, match=f"plan {path}: queries must hold at least one query"):
+            load_plan(path)
 
     def test_deterministic_given_fixtures(self, tmp_path):
         grid = make_grid(BBOX, 3, 3)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scootertrips.errors import InvalidConfig, MalformedRecord
 from scootertrips import trips as trips_module
 from scootertrips.geo import Bbox, GeoPoint, haversine_m, offset_azimuthal
-from scootertrips.ingest import SnapshotBatch
+from scootertrips.ingest import SnapshotBatch, format_ts
 from scootertrips.trips import (
     ASSOC_CSV,
     TRIP_CSV,
@@ -319,19 +319,11 @@ def decoded(table: TripTable, schema) -> list[list]:
 MULTILINE_ID = 'S,"7"\n2'  # quoted on write, and its record spans two lines
 
 
-@given(
-    ids=st.lists(st.text(alphabet='ab,"\n ', max_size=6), min_size=1, max_size=5, unique=True),
-    extra=st.integers(0, 9),
-    seed=st.integers(0, 2**32 - 1),
-    schema=st.sampled_from([TRIP_CSV, ASSOC_CSV]),
-)
-@settings(max_examples=12, deadline=None, derandomize=True)
-def test_table_csv_round_trip_with_quoted_ids(tmp_path_factory, ids, extra, seed, schema):
-    rng = np.random.default_rng(seed)
-    n = WRITE_BLOCK + extra
-    ids = [MULTILINE_ID] + [i for i in ids if i != MULTILINE_ID]
+def random_table(rng, ids: list[str], n: int, schema) -> TripTable:
+    """n random rows whose first scooter is ids[0]; for ASSOC_CSV with
+    association columns whose POI ids are ids reversed and "P\\n"."""
     codes = rng.integers(len(ids), size=n)
-    codes[0] = 0  # the first record spans two lines
+    codes[0] = 0
     start = rng.integers(1_500_000_000, 1_600_000_000, size=n)
     table = TripTable(
         ids=ids, scooter=codes, start=start, end=start + rng.integers(0, 7200, size=n),
@@ -344,6 +336,43 @@ def test_table_csv_round_trip_with_quoted_ids(tmp_path_factory, ids, extra, seed
             table, poi_ids=poi_ids, origin_poi=rng.integers(len(poi_ids), size=n), origin_dist=rng.exponential(30, n),
             dest_poi=rng.integers(len(poi_ids), size=n), dest_dist=rng.exponential(30, n), reassigned=rng.random(n) < 0.3,
         )
+    return table
+
+
+def csv_writer_bytes(table: TripTable, schema, path) -> bytes:
+    """The bytes csv.writer writes to path for the schema's headers and the rows of table."""
+    text = {"float": repr, "ts": lambda t: format_ts(datetime.fromtimestamp(t, UTC)),
+            "bool": lambda b: "true" if b else "false"}
+    columns = [col if kind in ("ids", "poi_ids") else list(map(text[kind], col))
+               for (_, _, kind), col in zip(schema, decoded(table, schema))]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([[header for header, _, _ in schema], *zip(*columns)])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("schema", [TRIP_CSV, ASSOC_CSV], ids=["trips", "assoc"])
+def test_table_csv_bytes_are_csv_writers(tmp_path, schema):
+    rng = np.random.default_rng(26)
+    ids = [MULTILINE_ID, "a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", '"', "plain"]
+    table = random_table(rng, ids, WRITE_BLOCK + 9, schema)
+    subset = rng.random(len(table)) < 0.5
+    assert write_table_csv(table, tmp_path / "table.csv", schema, (tmp_path / "subset.csv", subset)) == len(table)
+    assert (tmp_path / "table.csv").read_bytes() == csv_writer_bytes(table, schema, tmp_path / "oracle.csv")
+    assert (tmp_path / "subset.csv").read_bytes() == csv_writer_bytes(table.take(subset), schema, tmp_path / "oracle.csv")
+
+
+@given(
+    ids=st.lists(st.text(alphabet='ab,"\n ', max_size=6), min_size=1, max_size=5, unique=True),
+    extra=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+    schema=st.sampled_from([TRIP_CSV, ASSOC_CSV]),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_table_csv_round_trip_with_quoted_ids(tmp_path_factory, ids, extra, seed, schema):
+    rng = np.random.default_rng(seed)
+    n = WRITE_BLOCK + extra
+    ids = [MULTILINE_ID] + [i for i in ids if i != MULTILINE_ID]  # the first record spans two lines
+    table = random_table(rng, ids, n, schema)
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     assert write_table_csv(table, path, schema) == n
     back = read_table_csv(path, schema)
