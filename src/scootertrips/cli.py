@@ -30,23 +30,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-STAGE_HELP = {
-    "simulate": "generate the synthetic feed and ground truth (paths.scenario)",
-    "extract": "ingest the feed, reconstruct trips and clean them",
-    "harvest": "collect raw POIs over the harvest (and densify) grid",
-    "normalize": "normalize raw POIs into the grouped catalog",
-    "associate": "crop trips to the bbox, attach nearest POIs, apply the cutoff",
-    "sensitivity": "trip counts per POI group as the distance threshold grows",
-    "report": "purpose matrices, slices and drill-downs",
-}
-
-
 def _build_parser() -> _Parser:
+    from .pipeline import STAGES
+
     parser = _Parser(prog="scootertrips", description=__doc__)
     parser.add_argument("--log-level", default="INFO", help="logging level (DEBUG, INFO, WARNING, ...)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in {**STAGE_HELP, "run": "run the full pipeline from a config file"}.items():
+    stage_help = {name: stage.help for name, stage in STAGES.items()}
+    for name, text in {**stage_help, "run": "run the full pipeline from a config file"}.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--out-dir", required=True, help="artifact directory; stages read their inputs from it")
@@ -94,7 +86,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {**dict.fromkeys(STAGE_HELP, _cmd_stage), "score": _cmd_score, "run": _cmd_run}
+_COMMANDS = {"score": _cmd_score, "run": _cmd_run}  # every other command is a stage
 
 
 def main(argv=None) -> int:
@@ -107,7 +99,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.INFO),
                         format="%(asctime)s [%(levelname)s] %(name)s: %(message)s")
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS.get(args.command, _cmd_stage)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

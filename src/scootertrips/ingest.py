@@ -310,10 +310,13 @@ def _parse_jsonl(fh: IO[str], stats: IngestStats) -> Iterator[SnapshotBatch]:
         line = line.strip()
         if not line:
             continue
-        try:  # a None object fails the first check
-            batch = _jsonl_batch(builder, _orjson_object(line), prev, line_no)
-        except MalformedRecord:  # json's values name the error (the builder changes only on success)
-            batch = _jsonl_batch(builder, _json_object(line, line_no), prev, line_no)
+        try:
+            try:  # a None object fails the first check
+                batch = _jsonl_batch(builder, _orjson_object(line), prev, line_no)
+            except MalformedRecord:  # json's values name the error (the builder changes only on success)
+                batch = _jsonl_batch(builder, _json_object(line, line_no), prev, line_no)
+        except RecursionError:  # json.loads, str() or repr() of a value nested deeper than the recursion limit
+            raise MalformedRecord(line_no, "a value is nested too deeply to read") from None
         prev = batch.ts
         yield batch
 

@@ -37,11 +37,14 @@ def _layout(cls) -> list[tuple]:
 def read_json(path, what: str, key: str | None = None):
     """The JSON value in the file at path; with key, the value under key in
     the root object, which may hold notes besides. Bytes that are not UTF-8,
-    text that is not JSON or another root raise InvalidConfig."""
+    text that is not JSON, nesting deeper than the recursion limit or another
+    root raise InvalidConfig."""
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
         raise InvalidConfig(f"{what} {path} is not JSON: {exc}") from None
+    except RecursionError:  # a value nested deeper than the recursion limit
+        raise InvalidConfig(f"{what} {path}: a value is nested too deeply to read") from None
     if key is not None and not (isinstance(value, dict) and key in value and value.keys() <= {key, "notes"}):
         raise InvalidConfig(f"{what} {path}: the root is not an object of {key} and notes: {reprlib.repr(value)}")
     return value if key is None else value[key]

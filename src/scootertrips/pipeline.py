@@ -1,12 +1,11 @@
-"""Full-pipeline orchestration: one function per stage, run in order by
-run_pipeline, which writes a manifest with per-stage counts, versions, the
-config hash and artifact digests.
-
-Each stage function takes the PipelineConfig, its inputs in memory and the
-out dir, writes its artifacts there and returns a StageResult. run_stage
-runs one of the same functions on inputs read back from the file names the
-earlier stages write (the CLI's stage subcommands), so the stage-by-stage
-chain and `run` agree by construction.
+"""Full-pipeline orchestration. STAGES, the table at the end of this module,
+is the one list of the method's stages: each row holds a stage's name, its
+CLI help, its function and the artifacts it reads. run_pipeline runs the rows
+in order, handing each stage's outputs on in memory, and writes a manifest
+with per-stage counts, versions, the config hash and artifact digests.
+run_stage runs one row on inputs read back from the files earlier stages
+wrote (the CLI's stage subcommands, built from the same table), so the
+stage-by-stage chain and `run` agree by construction.
 
 Artifacts carry no timestamps, so a rerun with the same config is
 byte-identical; the manifest's created_at field is the only exception.
@@ -20,6 +19,7 @@ import platform
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .assoc import (
@@ -71,7 +71,7 @@ from .trips import clean_trips, crop_trips, extract_trips, read_trips_csv, write
 
 log = logging.getLogger(__name__)
 
-# the artifacts one stage writes and a later one reads back in run_stage
+# the artifacts one stage writes and a later one reads: in memory in run_pipeline, from disk in run_stage
 FEED = "feed.jsonl"
 TRIPS = "trips.csv"
 RAW_POIS = "pois_raw.json"
@@ -108,11 +108,12 @@ class Manifest:
 
 @dataclass
 class StageResult:
-    """What a stage hands on: its output for the next stage, its manifest
-    stage entries, and the artifacts it wrote. A stage that failed part way
-    sets error: what it wrote is recorded, then the error is raised."""
+    """What a stage hands on: its outputs for later stages, keyed by artifact
+    name, its manifest stage entries, and the artifacts it wrote. A stage
+    that failed part way sets error: what it wrote is recorded, then the
+    error is raised."""
 
-    output: object
+    outputs: dict
     stages: dict
     paths: list[Path] = field(default_factory=list)
     error: Exception | None = None
@@ -135,7 +136,7 @@ def simulate_feed(cfg: PipelineConfig, out_dir) -> StageResult:
     write_feed(batches, paths[0])
     save_truth(truth, paths[1], cadence_s=scenario.cadence_s, timezone_name=scenario.timezone)
     stats = {"truth_trips": len(truth), "batches": len(batches), "observations": sum(len(b.ids) for b in batches)}
-    return StageResult(None, {"simulate": stats}, paths)
+    return StageResult({}, {"simulate": stats}, paths)
 
 
 def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResult:
@@ -157,7 +158,7 @@ def extract_clean_trips(cfg: PipelineConfig, out_dir, raw_out=None) -> StageResu
         "extract": {"raw_trips": len(raw_trips)},
         "clean": asdict(clean_report),
     }
-    return StageResult(cleaned, stages, paths)
+    return StageResult({TRIPS: cleaned}, stages, paths)
 
 
 def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
@@ -176,7 +177,7 @@ def harvest_pois(cfg: PipelineConfig, out_dir) -> StageResult:
     except (BudgetExhausted, ClientError) as exc:
         stats, error = {"raw_pois": len(pois), "budget_used": budget.used}, exc
     save_raw_pois(pois, path)
-    return StageResult(pois, {"harvest": stats}, [path], error)
+    return StageResult({RAW_POIS: pois}, {"harvest": stats}, [path], error)
 
 
 def _harvest(cfg: PipelineConfig, pois: list, budget: QueryBudget) -> dict:
@@ -225,13 +226,13 @@ def normalize_pois(cfg: PipelineConfig, raw_pois, out_dir) -> StageResult:
     )
     path = Path(out_dir) / CATALOG
     save_catalog(catalog, path)
-    return StageResult(catalog, {"normalize": asdict(report)}, [path])
+    return StageResult({CATALOG: catalog}, {"normalize": asdict(report)}, [path])
 
 
 def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult:
     """Crop trips to cfg.bbox, link each endpoint to its nearest catalog POI
     and apply the cutoff; writes assoc.csv and assoc_within_cutoff.csv. The
-    output is (associated, within cutoff)."""
+    outputs are the associated trips and those within the cutoff."""
     region_trips, cropped = crop_trips(trips, cfg.bbox)
     associated = associate(region_trips, catalog_index(catalog))
     within = apply_threshold(associated, cfg.cutoff_m)
@@ -247,7 +248,7 @@ def associate_trips(cfg: PipelineConfig, trips, catalog, out_dir) -> StageResult
             "unresolved_collisions": int((associated.origin_poi == associated.dest_poi).sum()),
         },
     }
-    return StageResult((associated, within), stages, paths)
+    return StageResult({ASSOC: associated, WITHIN: within}, stages, paths)
 
 
 def sensitivity_tables(cfg: PipelineConfig, associated, catalog, out_dir) -> StageResult:
@@ -260,7 +261,7 @@ def sensitivity_tables(cfg: PipelineConfig, associated, catalog, out_dir) -> Sta
         table = sensitivity(associated, cfg.thresholds, endpoint, catalog, groups)
         paths.append(Path(out_dir) / f"sensitivity_{endpoint}.csv")
         write_sensitivity_csv(table, paths[-1])
-    return StageResult(None, {"sensitivity": {"thresholds": cfg.thresholds}}, paths)
+    return StageResult({}, {"sensitivity": {"thresholds": cfg.thresholds}}, paths)
 
 
 def write_report(cfg: PipelineConfig, within, catalog, out_dir) -> StageResult:
@@ -291,7 +292,34 @@ def write_report(cfg: PipelineConfig, within, catalog, out_dir) -> StageResult:
         write_drilldown_csv(drill, paths[-1])
         drill_cells[spec] = drill.total
     stats = {"matrix_total": matrices[0].total, "slots": [s.label for s in TimeSlot], "drilldowns": drill_cells}
-    return StageResult(None, {"report": stats}, paths)
+    return StageResult({}, {"report": stats}, paths)
+
+
+class Stage(NamedTuple):
+    """A row of STAGES: the stage's CLI name and help, its function, and the
+    artifacts it reads, in the order the function takes them after cfg."""
+
+    name: str
+    help: str
+    run: Callable[..., StageResult]
+    reads: tuple[str, ...] = ()
+
+
+STAGES = {stage.name: stage for stage in (
+    Stage("simulate", "generate the synthetic feed and ground truth (paths.scenario)", simulate_feed),
+    Stage("extract", "ingest the feed, reconstruct trips and clean them", extract_clean_trips),
+    Stage("harvest", "collect raw POIs over the harvest (and densify) grid", harvest_pois),
+    Stage("normalize", "normalize raw POIs into the grouped catalog", normalize_pois, (RAW_POIS,)),
+    Stage("associate", "crop trips to the bbox, attach nearest POIs, apply the cutoff", associate_trips,
+          (TRIPS, CATALOG)),
+    Stage("sensitivity", "trip counts per POI group as the distance threshold grows", sensitivity_tables,
+          (ASSOC, CATALOG)),
+    Stage("report", "purpose matrices, slices and drill-downs", write_report, (WITHIN, CATALOG)),
+)}
+
+# how run_stage reads each artifact a stage reads back
+_READERS = {RAW_POIS: load_raw_pois, TRIPS: read_trips_csv, CATALOG: load_catalog, ASSOC: read_associated_csv,
+            WITHIN: read_associated_csv}
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir, raw_out=None) -> StageResult:
@@ -299,62 +327,38 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir, raw_out=None) -> StageRes
     stages wrote to out_dir; raw_out is extract's raw trips CSV."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if name == "simulate":
-        return simulate_feed(cfg, out_dir)
-    if name == "extract":
-        return extract_clean_trips(cfg, out_dir, raw_out=raw_out)
-    if name == "harvest":
-        result = harvest_pois(cfg, out_dir)
-        if result.error:
-            raise result.error
-        return result
-    if name == "normalize":
-        return normalize_pois(cfg, load_raw_pois(out_dir / RAW_POIS), out_dir)
-    catalog = load_catalog(out_dir / CATALOG)
-    if name == "associate":
-        return associate_trips(cfg, read_trips_csv(out_dir / TRIPS), catalog, out_dir)
-    if name == "sensitivity":
-        return sensitivity_tables(cfg, read_associated_csv(out_dir / ASSOC), catalog, out_dir)
-    if name == "report":
-        return write_report(cfg, read_associated_csv(out_dir / WITHIN), catalog, out_dir)
-    raise ValueError(f"unknown stage {name!r}")
+    stage = STAGES[name]
+    inputs = [_READERS[artifact](out_dir / artifact) for artifact in stage.reads]
+    result = stage.run(cfg, *inputs, out_dir, **({"raw_out": raw_out} if raw_out else {}))
+    if result.error:
+        raise result.error
+    return result
 
 
 def run_pipeline(cfg: PipelineConfig, raw_config: dict, out_dir) -> Manifest:
-    """Run every stage in order, handing its output on in memory; on failure
-    the manifest records the stage and any partial artifacts stay on disk
-    with status FAILED."""
+    """Run the stages of STAGES in order (simulate only without paths.feed),
+    handing their outputs on in memory; each output is dropped after the
+    last stage that reads it. On failure the manifest records the stage and
+    any partial artifacts stay on disk with status FAILED."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(config_sha256=config_hash(raw_config))
+    rows = [row for row in STAGES.values() if row.name != "simulate" or not cfg.paths.feed]
+    last_reader = {artifact: i for i, row in enumerate(rows) for artifact in row.reads}
+    held = {}  # the outputs a later stage reads, by artifact name
     stage = "setup"
-
-    def record(result: StageResult):
-        manifest.stages.update(result.stages)
-        for path in result.paths:
-            manifest.artifacts[path.name] = _sha256(path)
-        if result.error:
-            raise result.error
-        return result.output
-
     try:
-        if not cfg.paths.feed:
-            stage = "simulate"
-            record(simulate_feed(cfg, out_dir))
-        stage = "extract"
-        trips = record(extract_clean_trips(cfg, out_dir))
-        stage = "harvest"
-        raw_pois = record(harvest_pois(cfg, out_dir))
-        stage = "normalize"
-        catalog = record(normalize_pois(cfg, raw_pois, out_dir))
-        stage = "associate"
-        associated, within = record(associate_trips(cfg, trips, catalog, out_dir))
-        del trips, raw_pois  # no later stage reads them; freed, they do not add to later stages' peaks
-        stage = "sensitivity"
-        record(sensitivity_tables(cfg, associated, catalog, out_dir))
-        del associated  # the report reads only the trips within the cutoff
-        stage = "report"
-        record(write_report(cfg, within, catalog, out_dir))
+        for i, row in enumerate(rows):
+            stage = row.name
+            result = row.run(cfg, *(held[artifact] for artifact in row.reads), out_dir)
+            manifest.stages.update(result.stages)
+            for path in result.paths:
+                manifest.artifacts[path.name] = _sha256(path)
+            if result.error:
+                raise result.error
+            held.update(result.outputs)
+            del result  # freed, no output outlives its last reader to add to later stages' peaks
+            held = {artifact: value for artifact, value in held.items() if last_reader.get(artifact, -1) > i}
     except Exception as exc:
         manifest.status = "FAILED"
         manifest.failed_stage = stage

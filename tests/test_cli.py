@@ -12,6 +12,7 @@ from scootertrips.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from scootertrips.config import InputPaths, PipelineConfig, load_config
 from scootertrips.errors import BudgetExhausted, InvalidConfig
 from scootertrips.geo import make_grid
+from scootertrips.pipeline import STAGES as STAGE_TABLE
 from scootertrips.pipeline import harvest_pois
 from scootertrips.poi.catalog import load_raw_pois
 from scootertrips.poi.client import canonical_query
@@ -48,6 +49,23 @@ def write_config(tmp_path, paths=None, **overrides) -> Path:
 
 def stage(name: str, config: Path, out: Path, *extra: str) -> int:
     return main([name, "--config", str(config), "--out-dir", str(out), *extra])
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_restated_stage_lists_follow_the_stage_table(capsys):
+    # the tools restate the list: unrun_lines traces the package's first import, compare imports neither tree
+    assert STAGES == load_tool("unrun_lines").STAGES == load_tool("compare").STAGES == tuple(STAGE_TABLE)
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    listed = [m.group(1) for m in re.finditer(r"^    (\S+) ", capsys.readouterr().out, re.MULTILINE)]
+    assert listed == [*STAGES, "run", "score"]
 
 
 def test_usage_error_exit_code():
@@ -377,10 +395,7 @@ def demo_run(tmp_path_factory):
 
 
 def test_demo_fixtures_record_every_demo_query(demo_run):
-    spec = importlib.util.spec_from_file_location("make_demo_fixtures", REPO / "tools" / "make_demo_fixtures.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.demo_responses() == json.loads((DEMO / "fixtures" / "places.json").read_text())
+    assert load_tool("make_demo_fixtures").demo_responses() == json.loads((DEMO / "fixtures" / "places.json").read_text())
     harvest = json.loads((demo_run / "manifest.json").read_text())["stages"]["harvest"]
     assert harvest["unrecorded_queries"] == 0 and harvest["budget_used"] == 1304
 
@@ -457,6 +472,9 @@ def test_score_needs_a_trips_csv(demo_run, capsys, caplog):
     assert "header column 9 is 'origin_poi'" in capsys.readouterr().err and "Traceback" not in caplog.text
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000  # json.loads runs past the recursion limit
+
+
 def bad_data_file(name: str, edit):
     """The bundled data file name with edit applied (or replaced by edit's
     text), read by the stage that reads it."""
@@ -484,8 +502,12 @@ def bad_catalog(edit):
 
 
 def bad_truth(edit):
+    """truth.json with edit applied, or replaced by edit's bytes, read by score."""
     def setup(tmp_path, out):
-        rewrite_json(out / "truth.json", edit)
+        if isinstance(edit, bytes):
+            (out / "truth.json").write_bytes(edit)
+        else:
+            rewrite_json(out / "truth.json", edit)
         return ["score", "--truth", str(out / "truth.json"), "--extracted", str(out / "trips.csv")]
     return setup
 
@@ -513,11 +535,13 @@ def bad_truth(edit):
      ["truth.json: timezone 'Mars/Base' is not a known IANA time zone"]),
     (bad_catalog(lambda records: records[0].update(lat=95.0)),
      ["catalog.json record 0: lat/lon (95.0, ", "is not a point on the globe"]),
+    (bad_config(lambda text: DEEP), ["config.json: a value is nested too deeply to read"]),
+    (bad_truth(DEEP), ["truth.json: a value is nested too deeply to read"]),
 ], ids=["taxonomy-no-groups", "taxonomy-groups-number", "taxonomy-not-json", "buffer-count-text", "buffers-no-specs",
         "manual-no-lat", "plan-no-term", "config-not-utf8", "truth-no-trips", "catalog-types-number",
         "config-unknown-key", "config-densify-text", "config-rows-fraction", "config-cutoff-bool",
         "config-cleaning-unknown-key", "catalog-name-number", "truth-cadence-zero", "truth-cadence-negative",
-        "truth-zone-unknown", "catalog-lat-off-globe"])
+        "truth-zone-unknown", "catalog-lat-off-globe", "config-nested-too-deeply", "truth-nested-too-deeply"])
 def test_bad_input_file_is_a_data_error(demo_run, tmp_path, capsys, caplog, setup, words):
     out = tmp_path / "out"
     shutil.copytree(demo_run, out)

@@ -103,3 +103,42 @@ def test_dst_case_is_the_demo_starting_before_the_march_change(tmp_path):
     assert scenario == {**json.loads((demo / "scenario.json").read_text()), "start_date": "2019-03-09"}
     assert sorted(p.name for p in (config.parent / "fixtures").iterdir()) == sorted(
         p.name for p in (demo / "fixtures").iterdir())
+
+
+FAKE_CLI = """
+import json, sys
+from pathlib import Path
+args = sys.argv[1:]  # --log-level LEVEL COMMAND ...
+command, out = args[2], Path(args[args.index("--out-dir") + 1])
+out.mkdir(parents=True, exist_ok=True)
+(out / f"{command}.txt").write_text(f"{command} {VERSION}")
+if "--raw-out" in args:
+    Path(args[args.index("--raw-out") + 1]).write_text("raw")
+print(json.dumps({command: {"version": VERSION}}))
+"""
+
+
+def fake_tree(root: Path, version: int) -> Path:
+    """A tree whose scootertrips.cli writes <command>.txt into --out-dir (and
+    the --raw-out file) and prints {command: {"version": version}}."""
+    package = root / "src" / "scootertrips"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(f"VERSION = {version}\n{FAKE_CLI}")
+    return root
+
+
+def test_stage_chain_case_compares_printed_entries_and_written_files(tmp_path):
+    config = tmp_path / "config.json"
+    outs = tmp_path / "base-out", tmp_path / "change-out"
+    timing = compare.run_stages(fake_tree(tmp_path / "base", 1), config, outs[0])
+    assert timing.keys() == {"run_s", "peak_rss_mb"}
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert list(manifest["stages"]) == list(compare.STAGES)
+    assert sorted(manifest["artifacts"]) == sorted([f"{s}.txt" for s in compare.STAGES] + ["raw_trips.csv"])
+
+    compare.run_stages(fake_tree(tmp_path / "same", 1), config, outs[1])
+    assert compare.compare_case(*outs) == {}
+    compare.run_stages(fake_tree(tmp_path / "change", 2), config, outs[1])
+    assert compare.compare_case(*outs).keys() == {f"stages.{s}" for s in compare.STAGES} | {
+        f"{s}.txt" for s in compare.STAGES}

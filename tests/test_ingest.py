@@ -329,6 +329,15 @@ MALFORMED = {
             '{"ts":"%s","scooters":[{"id":"a","lat":[18446744073709551616],"lon":-84.3}]}\n' % T1,
             (MalformedRecord, 1, "non-numeric coordinates ([18446744073709551616], -84.3)", 0),
         ),
+        # json.loads, or the str() or repr() of what orjson decoded, runs past the recursion limit
+        "ts_nested_deeper_than_the_recursion_limit": (
+            _jsonl((T1, [_rec("a", 33.7, -84.3)])) + '{"ts":%s,"scooters":[]}\n' % ("[" * 5000 + "]" * 5000),
+            (MalformedRecord, 2, "a value is nested too deeply to read", 1),
+        ),
+        "lat_nested_deeper_than_the_recursion_limit": (
+            '{"ts":"%s","scooters":[{"id":"a","lat":%s,"lon":-84.3}]}\n' % (T1, "[" * 5000 + "]" * 5000),
+            (MalformedRecord, 1, "a value is nested too deeply to read", 0),
+        ),
     },
     "csv": {
         "non_numeric": (

@@ -25,7 +25,7 @@ def test_demo_run_trace_lists_only_what_the_demo_skips():
     prefixes = {line.split(" ", 1)[0] for line in listed}
     # the demo simulates, writes and parses a JSONL feed and runs every stage without failing
     assert line_of("ingest.py", "fh.write(_jsonl_line(batch, null_fill_to))") not in prefixes
-    assert line_of("pipeline.py", "record(write_report(cfg, within, catalog, out_dir))") not in prefixes
+    assert line_of("pipeline.py", "result = row.run(cfg, *(held[artifact] for artifact in row.reads), out_dir)") not in prefixes
     assert line_of("cli.py", "raise SystemExit(main())") not in prefixes  # it runs as python -m scootertrips.cli
     assert line_of("geo.py", "class GeoPoint(NamedTuple):") not in prefixes  # import-time lines count
     # its feed is not CSV, no stage fails and `score` is not run

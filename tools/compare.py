@@ -7,8 +7,11 @@ Each workload named in the base tree's BENCHMARK.json has its inputs written
 once, at seed 1, by the base tree's perfbench/workloads.py; both trees then
 run the same config. The demo case runs each tree's own demo/config.json; the
 dst case runs a copy of each tree's demo directory whose scenario starts on
-2019-03-09, so its three days span the 2019-03-10 daylight-saving change.
-Per case, the two manifests are compared apart from created_at, and every
+2019-03-09, so its three days span the 2019-03-10 daylight-saving change. The
+demo-stages case runs, instead of `run`, each tree's stage subcommands in
+order on its demo/config.json, extract with --raw-out, and writes for them a
+manifest of the stage entries they printed and the digests of the files they
+wrote. Per case, the two manifests are compared apart from created_at, and every
 artifact that differs gets its first differing line printed, then how many
 of its records differ at the same position and both totals. A record is a
 line, or for a JSON file an item of its root list (for a root object: one
@@ -23,7 +26,8 @@ Exits 1 on any difference not named with --expect-change, 0 otherwise.
 
 --time N runs N base/change pairs per case, alternating which side runs
 first (base first in the first pair), and prints each run's wall time
-(run_s) and peak RSS (peak_rss_mb, the child's ru_maxrss), then the median
+(run_s) and peak RSS (peak_rss_mb, the child's ru_maxrss; for demo-stages
+the sum of the stages' run_s and the largest peak_rss_mb), then the median
 of the paired change/base run_s ratios and the median paired relative
 peak_rss_mb change. On a shared host, run times taken
 hours apart are not comparable; the ratios of adjacent pairs are.
@@ -33,6 +37,7 @@ The artifacts of the last pair are compared.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -41,12 +46,15 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "compare"
 DST_START = "2019-03-09"
+# the stage subcommands in the order of the package's stage table, restated: neither tree is imported here
+STAGES = ("simulate", "extract", "harvest", "normalize", "associate", "sensitivity", "report")
 
 
 def extract_tree(rev: str, dest: Path) -> None:
@@ -58,22 +66,47 @@ def extract_tree(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
+def run_cli(tree: Path, argv: list[str]) -> tuple[dict, str]:
+    """Run `python -m scootertrips.cli argv` from tree; returns its run_s and peak_rss_mb, and its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    started = time.perf_counter()
+    with tempfile.TemporaryFile("w+") as err, subprocess.Popen(
+            [sys.executable, "-m", "scootertrips.cli", "--log-level", "WARNING", *argv], cwd=tree, env=env,
+            stdout=subprocess.PIPE, stderr=err, text=True) as proc:
+        stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage, not all children's
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        run_s = time.perf_counter() - started
+        if proc.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"compare: scootertrips {' '.join(argv)} in {tree} exited {proc.returncode}:\n"
+                             f"{err.read()}")
+    return {"run_s": round(run_s, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 3)}, stdout
+
+
 def run_tree(tree: Path, config: Path, out: Path) -> dict:
     """Run `scootertrips run` from tree into a fresh out; returns its run_s and peak_rss_mb."""
     shutil.rmtree(out, ignore_errors=True)
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, "-m", "scootertrips.cli", "--log-level", "WARNING", "run",
-            "--config", str(config), "--out-dir", str(out)]
-    started = time.perf_counter()
-    with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True) as proc:
-        stderr = proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage, not all children's
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    run_s = time.perf_counter() - started
-    if proc.returncode != 0:
-        raise SystemExit(f"compare: run in {tree} on {config} exited {proc.returncode}:\n{stderr}")
-    return {"run_s": round(run_s, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 3)}
+    return run_cli(tree, ["run", "--config", str(config), "--out-dir", str(out)])[0]
+
+
+def run_stages(tree: Path, config: Path, out: Path) -> dict:
+    """Run the stage subcommands in order from tree into a fresh out, extract
+    with --raw-out into out, then write out/manifest.json holding the stage
+    entries they printed and the digests of the files they wrote, keyed as in
+    `run`'s manifest. Returns their summed run_s and largest peak_rss_mb."""
+    shutil.rmtree(out, ignore_errors=True)
+    stages, runs = {}, []
+    for stage in STAGES:
+        argv = [stage, "--config", str(config), "--out-dir", str(out)]
+        if stage == "extract":
+            argv += ["--raw-out", str(out / "raw_trips.csv")]
+        timing, printed = run_cli(tree, argv)
+        stages.update(json.loads(printed))
+        runs.append(timing)
+    artifacts = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+    (out / "manifest.json").write_text(json.dumps({"stages": stages, "artifacts": artifacts}), encoding="utf-8")
+    return {"run_s": round(sum(r["run_s"] for r in runs), 3), "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
 
 
 def first_difference(a: Path, b: Path) -> str:
@@ -173,6 +206,7 @@ def main(argv=None) -> int:
 
     cases = {
         "demo": (base / "demo" / "config.json", ROOT / "demo" / "config.json"),
+        "demo-stages": (base / "demo" / "config.json", ROOT / "demo" / "config.json"),
         "dst": (dst_config(base, WORK / "dst" / "base"), dst_config(ROOT, WORK / "dst" / "change")),
     }
     for workload in (w["name"] for w in json.loads((base / "BENCHMARK.json").read_text())["workloads"]):
@@ -185,12 +219,13 @@ def main(argv=None) -> int:
     for case, (base_config, head_config) in cases.items():
         outs = WORK / "base-out" / case, WORK / "change-out" / case
         sides = (base, base_config, outs[0]), (ROOT, head_config, outs[1])
+        run = run_stages if case == "demo-stages" else run_tree
         pairs = []
         for i in range(max(args.time, 1)):
             first = i % 2  # 0: base first
             pair = {"first": ("base", "change")[first]}
             for side in (first, 1 - first):
-                pair[("base", "change")[side]] = run_tree(*sides[side])
+                pair[("base", "change")[side]] = run(*sides[side])
             pairs.append(pair)
         diffs = compare_case(*outs)
         print(f"{case}: " + ("identical" if not diffs else f"{len(diffs)} difference(s)"))

@@ -32,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "scootertrips"
+# the stage subcommands in the order of the package's stage table, restated: the package is first imported
+# under the trace
 STAGES = ("simulate", "extract", "harvest", "normalize", "associate", "sensitivity", "report")
 
 
